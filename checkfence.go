@@ -97,19 +97,16 @@ type Backend = core.Backend
 
 // The backends. BackendAuto (the zero value) routes per check: small
 // fragment programs go to the polynomial reads-from engine, everything
-// else to SAT with a formula-size-aware parallelism choice. The forced
-// backends pin one engine; a forced rf backend still degrades to SAT
-// when it cannot answer.
+// else to SAT. The forced backends pin one engine; a forced rf backend
+// still degrades to SAT when it cannot answer.
 const (
-	BackendAuto      = core.BackendAuto
-	BackendRF        = core.BackendRF
-	BackendSAT       = core.BackendSAT
-	BackendPortfolio = core.BackendPortfolio
-	BackendCube      = core.BackendCube
+	BackendAuto = core.BackendAuto
+	BackendRF   = core.BackendRF
+	BackendSAT  = core.BackendSAT
 )
 
-// ParseBackend converts a -backend flag value ("auto", "rf", "sat",
-// "portfolio", "cube") to a Backend.
+// ParseBackend converts a -backend flag value ("auto", "rf", "sat") to
+// a Backend.
 func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 
 // Result is the outcome of a check. Verdict is three-valued: pass,

@@ -11,7 +11,7 @@
 //	benchtab -table fences     §4.2: fence sufficiency/necessity matrix
 //	benchtab -fig sc-vs-relaxed §4.4: model choice impact on runtime
 //	benchtab -fig encode       formula minimization on/off (writes BENCH_encode.json)
-//	benchtab -fig solve        intra-check parallelism: serial vs portfolio vs cube (writes BENCH_solve.json)
+//	benchtab -fig solve        solver inprocessing: on vs off (writes BENCH_solve.json)
 //	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced (writes BENCH_backend.json)
 //	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks (writes BENCH_sweep.json)
 //	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite (writes BENCH_daemon.json)
@@ -45,7 +45,6 @@ func main() {
 		swpJSON = flag.String("sweep-json", "BENCH_sweep.json", "artifact path for -fig sweep (\"\" = print only)")
 		dmnJSON = flag.String("daemon-json", "BENCH_daemon.json", "artifact path for -fig daemon (\"\" = print only)")
 		fltJSON = flag.String("fleet-json", "BENCH_fleet.json", "artifact path for -fig fleet (\"\" = print only)")
-		width   = flag.Int("width", 4, "worker count for -fig solve (portfolio members / cube workers)")
 	)
 	flag.Parse()
 
@@ -73,7 +72,7 @@ func main() {
 	case *fig == "encode":
 		err = r.EncodeReport(*encJSON)
 	case *fig == "solve":
-		err = r.SolveReport(*slvJSON, *width)
+		err = r.SolveReport(*slvJSON)
 	case *fig == "backend":
 		err = r.BackendReport(*bakJSON)
 	case *fig == "sweep":

@@ -38,6 +38,18 @@ func TestExitCodes(t *testing.T) {
 			want: exitError,
 		},
 		{
+			// The in-process cube-and-conquer and portfolio backends
+			// and their flags are gone.
+			name: "removed backend",
+			args: []string{"-impl", "ms2", "-test", "T0", "-backend", "cube"},
+			want: exitError, wantErr: "unknown backend",
+		},
+		{
+			name: "removed flag",
+			args: []string{"-impl", "ms2", "-test", "T0", "-portfolio", "2"},
+			want: exitError,
+		},
+		{
 			name: "list",
 			args: []string{"-list"},
 			want: exitPass, wantOut: "implementations:",

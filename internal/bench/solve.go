@@ -1,13 +1,12 @@
 package bench
 
-// This file measures intra-check parallelism and the inprocessing
-// optimizations: the slowest inclusion-check rows of the study set run
-// four ways — serial (inprocessing + order reduction on, the default),
-// clause-sharing portfolio, cube-and-conquer, and serial with
-// inprocessing and the order reduction disabled — verifying identical
-// verdicts and observation sets, and recording the solve-time speedups
-// as the BENCH_solve.json artifact. The runs of a row execute
-// sequentially (never overlapped) so wall-clock speedups are honest.
+// This file measures the solver's inprocessing optimizations: the
+// slowest inclusion-check rows of the study set run twice — serial
+// with inprocessing and the order reduction on (the default) and with
+// both disabled — verifying identical verdicts and observation sets,
+// and recording the solve-time speedups as the BENCH_solve.json
+// artifact. The runs of a row execute sequentially (never overlapped)
+// so wall-clock speedups are honest.
 
 import (
 	"encoding/json"
@@ -42,37 +41,25 @@ var quickSolvePairs = map[string]bool{
 }
 
 // SolveRow is one (implementation, test) measurement of the
-// parallel-solving comparison.
+// inprocessing comparison.
 type SolveRow struct {
 	Impl    string `json:"impl"`
 	Test    string `json:"test"`
 	Model   string `json:"model"`
 	Verdict string `json:"verdict"`
 
-	SerialSolveSec    float64 `json:"serial_solve_sec"`
-	PortfolioSolveSec float64 `json:"portfolio_solve_sec"`
-	CubeSolveSec      float64 `json:"cube_solve_sec"`
+	SerialSolveSec float64 `json:"serial_solve_sec"`
 	// InprocOffSolveSec is the serial solve with inprocessing and the
 	// order-encoding reduction both disabled — the pre-optimization
 	// baseline the inproc_speedup column is measured against.
 	InprocOffSolveSec float64 `json:"inproc_off_solve_sec"`
-
-	// Speedups are serial_solve_sec over the parallel variant;
 	// InprocSpeedup is inproc_off_solve_sec over serial_solve_sec.
-	PortfolioSpeedup float64 `json:"portfolio_speedup"`
-	CubeSpeedup      float64 `json:"cube_speedup"`
-	InprocSpeedup    float64 `json:"inproc_speedup"`
+	InprocSpeedup float64 `json:"inproc_speedup"`
 
 	// ConflictsOn/ConflictsOff compare the serial search effort with
 	// the features on vs. off.
 	ConflictsOn  int64 `json:"conflicts_on"`
 	ConflictsOff int64 `json:"conflicts_off"`
-
-	Cubes          int   `json:"cubes"`
-	CubesRefuted   int   `json:"cubes_refuted"`
-	SharedExported int64 `json:"shared_exported"`
-	SharedImported int64 `json:"shared_imported"`
-	SharedUseful   int64 `json:"shared_useful"`
 
 	// Inprocessing and order-reduction work of the default serial run.
 	OrderVarsFixed  int   `json:"order_vars_fixed"`
@@ -85,62 +72,43 @@ type SolveRow struct {
 type SolveArtifact struct {
 	GeneratedAt string `json:"generated_at"`
 	Model       string `json:"model"`
-	Width       int    `json:"width"`
-	// CPUs is the host's logical CPU count. Speedups are only
-	// meaningful when it is >= Width: on fewer cores the parallel
-	// variants time-slice and regress by construction.
-	CPUs                   int        `json:"cpus"`
-	Rows                   []SolveRow `json:"rows"`
-	MedianPortfolioSpeedup float64    `json:"median_portfolio_speedup"`
-	MedianCubeSpeedup      float64    `json:"median_cube_speedup"`
-	MedianBestSpeedup      float64    `json:"median_best_speedup"`
-	MedianInprocSpeedup    float64    `json:"median_inproc_speedup"`
+	// CPUs is the host's logical CPU count.
+	CPUs                int        `json:"cpus"`
+	Rows                []SolveRow `json:"rows"`
+	MedianInprocSpeedup float64    `json:"median_inproc_speedup"`
 }
 
-// SolveReport runs the slowest inclusion-check rows serially, as a
-// clause-sharing portfolio of the given width, and cube-and-conquer on
-// the same number of workers; asserts that all three agree
-// (verdicts, observation sets, counterexample validity); prints the
-// comparison; and writes the artifact to jsonPath ("" = print only).
-func (r *Runner) SolveReport(jsonPath string, width int) error {
-	if width < 2 {
-		width = 4
-	}
+// SolveReport runs the slowest inclusion-check rows serially with
+// inprocessing and the order reduction on and off; asserts that both
+// agree (verdicts, observation sets, counterexample validity); prints
+// the comparison; and writes the artifact to jsonPath ("" = print
+// only).
+func (r *Runner) SolveReport(jsonPath string) error {
 	model := memmodel.Relaxed
 	strategies := []struct {
 		name string
 		opts core.Options
 	}{
-		// Backends are pinned so the auto router's small-instance guard
-		// cannot silently serialize the parallel variants being measured.
 		{"serial", core.Options{Model: model, Backend: core.BackendSAT}},
-		{"portfolio", core.Options{Model: model, Backend: core.BackendPortfolio, Portfolio: width, ShareClauses: true}},
-		{"cube", core.Options{Model: model, Backend: core.BackendCube, Cube: width}},
 		{"inproc-off", core.Options{Model: model, Backend: core.BackendSAT, NoInprocess: true, NoOrderReduce: true}},
 	}
 
-	r.printf("Intra-check parallelism and inprocessing: solve time per strategy (model: %s, width: %d)\n",
-		model, width)
-	r.printf("%-9s %-7s | %9s %9s %9s %9s | %6s %6s %6s | %s\n",
-		"impl", "test", "serial[s]", "portf[s]", "cube[s]", "inoff[s]", "p-spd", "c-spd", "i-spd", "verdict")
+	r.printf("Inprocessing: solve time with the optimizations on and off (model: %s)\n", model)
+	r.printf("%-9s %-7s | %9s %9s | %6s | %s\n",
+		"impl", "test", "serial[s]", "inoff[s]", "i-spd", "verdict")
 
 	art := SolveArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Model:       model.String(),
-		Width:       width,
 		CPUs:        runtime.NumCPU(),
 	}
-	if art.CPUs < width {
-		r.printf("note: %d CPUs < width %d; parallel variants time-slice and speedups below 1x are expected\n",
-			art.CPUs, width)
-	}
-	var pSpeedups, cSpeedups, bestSpeedups, iSpeedups []float64
+	var iSpeedups []float64
 	for _, pair := range solvePairs {
 		if r.Quick && !quickSolvePairs[pair.impl+"/"+pair.test] {
 			continue
 		}
-		// The three runs execute back to back; each mines with a
-		// private cache so no configuration benefits from another's
+		// The runs execute back to back; each mines with a private
+		// cache so neither configuration benefits from the other's
 		// warm specification.
 		rows := make([]Row, len(strategies))
 		for i, strat := range strategies {
@@ -152,13 +120,7 @@ func (r *Runner) SolveReport(jsonPath string, width int) error {
 				return fmt.Errorf("bench: %s/%s (%s): %w", pair.impl, pair.test, strat.name, err)
 			}
 		}
-		serial, portf, cube, inoff := rows[0], rows[1], rows[2], rows[3]
-		if err := checkAgreement(serial, portf); err != nil {
-			return fmt.Errorf("portfolio disagrees: %w", err)
-		}
-		if err := checkAgreement(serial, cube); err != nil {
-			return fmt.Errorf("cube disagrees: %w", err)
-		}
+		serial, inoff := rows[0], rows[1]
 		if err := checkAgreement(serial, inoff); err != nil {
 			return fmt.Errorf("inprocessing ablation disagrees: %w", err)
 		}
@@ -172,45 +134,23 @@ func (r *Runner) SolveReport(jsonPath string, width int) error {
 		row := SolveRow{
 			Impl: pair.impl, Test: pair.test, Model: model.String(), Verdict: verdict,
 			SerialSolveSec:    serial.Res.Stats.RefuteTime.Seconds(),
-			PortfolioSolveSec: portf.Res.Stats.RefuteTime.Seconds(),
-			CubeSolveSec:      cube.Res.Stats.RefuteTime.Seconds(),
 			InprocOffSolveSec: inoff.Res.Stats.RefuteTime.Seconds(),
 			ConflictsOn:       serial.Res.Stats.SolverStats.Conflicts,
 			ConflictsOff:      inoff.Res.Stats.SolverStats.Conflicts,
-			Cubes:             cube.Res.Stats.Cubes,
-			CubesRefuted:      cube.Res.Stats.CubesRefuted,
-			SharedExported:    portf.Res.Stats.SharedExported,
-			SharedImported:    portf.Res.Stats.SharedImported,
-			SharedUseful:      portf.Res.Stats.SharedUseful,
 			OrderVarsFixed:    serial.Res.Stats.OrderVarsFixed,
 			OrderVarsMerged:   serial.Res.Stats.OrderVarsMerged,
 			VivifiedLits:      serial.Res.Stats.VivifiedLits,
 			SubsumedLearnts:   serial.Res.Stats.SubsumedLearnts,
 		}
-		row.PortfolioSpeedup = speedup(row.SerialSolveSec, row.PortfolioSolveSec)
-		row.CubeSpeedup = speedup(row.SerialSolveSec, row.CubeSolveSec)
 		row.InprocSpeedup = speedup(row.InprocOffSolveSec, row.SerialSolveSec)
 		art.Rows = append(art.Rows, row)
-		pSpeedups = append(pSpeedups, row.PortfolioSpeedup)
-		cSpeedups = append(cSpeedups, row.CubeSpeedup)
 		iSpeedups = append(iSpeedups, row.InprocSpeedup)
-		best := row.PortfolioSpeedup
-		if row.CubeSpeedup > best {
-			best = row.CubeSpeedup
-		}
-		bestSpeedups = append(bestSpeedups, best)
-		r.printf("%-9s %-7s | %9.3f %9.3f %9.3f %9.3f | %5.2fx %5.2fx %5.2fx | %s\n",
-			row.Impl, row.Test, row.SerialSolveSec, row.PortfolioSolveSec, row.CubeSolveSec,
-			row.InprocOffSolveSec, row.PortfolioSpeedup, row.CubeSpeedup, row.InprocSpeedup, verdict)
+		r.printf("%-9s %-7s | %9.3f %9.3f | %5.2fx | %s\n",
+			row.Impl, row.Test, row.SerialSolveSec, row.InprocOffSolveSec, row.InprocSpeedup, verdict)
 	}
 	if len(art.Rows) > 0 {
-		art.MedianPortfolioSpeedup = median(pSpeedups)
-		art.MedianCubeSpeedup = median(cSpeedups)
-		art.MedianBestSpeedup = median(bestSpeedups)
 		art.MedianInprocSpeedup = median(iSpeedups)
-		r.printf("median speedups: portfolio %.2fx, cube %.2fx, best-of-both %.2fx, inprocessing %.2fx\n",
-			art.MedianPortfolioSpeedup, art.MedianCubeSpeedup, art.MedianBestSpeedup,
-			art.MedianInprocSpeedup)
+		r.printf("median inprocessing speedup: %.2fx\n", art.MedianInprocSpeedup)
 	}
 
 	if jsonPath != "" {

@@ -526,31 +526,20 @@ func (b *Builder) AssertOr(ns ...Node) {
 // from the free-variable assignment; fully encoded gates and
 // variables read the solver model directly.
 func (b *Builder) Eval(n Node) bool {
-	return b.EvalIn(b.solver, n)
-}
-
-// EvalIn evaluates the node under s's current model instead of the
-// builder's own solver. s must hold the same formula — a CloneFormula
-// snapshot of the builder's solver (possibly extended with learned or
-// blocking clauses) — so the SAT variable indices line up. This is
-// what lets parallel mining workers decode observations from their
-// private clones concurrently: EvalIn only reads the builder's gate
-// structures, which are immutable during solving.
-func (b *Builder) EvalIn(s *sat.Solver, n Node) bool {
-	val := b.evalGate(s, n.index(), nil)
+	val := b.evalGate(n.index(), nil)
 	if n.negated() {
 		return !val
 	}
 	return val
 }
 
-func (b *Builder) evalGate(s *sat.Solver, idx int32, memo map[int32]bool) bool {
+func (b *Builder) evalGate(idx int32, memo map[int32]bool) bool {
 	if idx == 0 {
 		return true
 	}
 	g := b.gates[idx]
 	if v := b.satVars[idx]; v >= 0 && (g.isVar || b.pols[idx] == polBoth) {
-		return s.Value(v)
+		return b.solver.Value(v)
 	}
 	if g.isVar {
 		// Unmaterialized free variable: unconstrained, treat as false.
@@ -565,8 +554,8 @@ func (b *Builder) evalGate(s *sat.Solver, idx int32, memo map[int32]bool) bool {
 		memo = map[int32]bool{}
 	}
 	val := false
-	if b.evalGate(s, g.a.index(), memo) != g.a.negated() {
-		val = b.evalGate(s, g.b.index(), memo) != g.b.negated()
+	if b.evalGate(g.a.index(), memo) != g.a.negated() {
+		val = b.evalGate(g.b.index(), memo) != g.b.negated()
 	}
 	memo[idx] = val
 	return val

@@ -1,7 +1,5 @@
 package bitvec
 
-import "checkfence/internal/sat"
-
 // BV is a little-endian bitvector of circuit nodes: BV[0] is the least
 // significant bit.
 type BV []Node
@@ -175,14 +173,9 @@ func (b *Builder) IsZero(x BV) Node {
 
 // EvalBV evaluates the bitvector under the current model.
 func (b *Builder) EvalBV(bv BV) int64 {
-	return b.EvalBVIn(b.solver, bv)
-}
-
-// EvalBVIn evaluates the bitvector under s's model (see EvalIn).
-func (b *Builder) EvalBVIn(s *sat.Solver, bv BV) int64 {
 	var v int64
 	for i, n := range bv {
-		if b.EvalIn(s, n) {
+		if b.Eval(n) {
 			v |= 1 << uint(i)
 		}
 	}

@@ -61,9 +61,8 @@ type Options struct {
 	Model memmodel.Model
 	// Backend selects the verdict engine: BackendAuto (the default)
 	// routes per check between the polynomial reads-from engine and
-	// SAT via the static cost model; BackendRF/BackendSAT/
-	// BackendPortfolio/BackendCube force one strategy (rf still
-	// degrades to SAT when it cannot answer).
+	// SAT via the static cost model; BackendRF/BackendSAT force one
+	// engine (rf still degrades to SAT when it cannot answer).
 	Backend Backend
 	// DisableRangeAnalysis turns §3.4 off (Fig. 11c comparison).
 	DisableRangeAnalysis bool
@@ -83,22 +82,6 @@ type Options struct {
 	// mines once per key. RunSuite installs a shared cache
 	// automatically.
 	SpecCache *SpecCache
-	// Portfolio, when > 1, races that many diversified SAT solver
-	// configurations (restart policy, initial phase, branching
-	// permutation) on each single-verdict solve of mining and the
-	// inclusion check. Members solve CloneFormula snapshots of one
-	// encoded, preprocessed formula, so encoding cost does not scale
-	// with the portfolio width. Worth it for the hardest checks
-	// (snark, harris); overhead for easy ones.
-	Portfolio int
-	// ShareClauses lets portfolio members exchange low-LBD learned
-	// clauses at restart boundaries (glucose-syrup style).
-	ShareClauses bool
-	// Cube, when > 1, solves the final inclusion query
-	// cube-and-conquer style on that many workers (splitting on
-	// memory-order variables) and partitions specification mining
-	// over disjoint observation-bit cubes.
-	Cube int
 	// MaxMineIterations caps the mining enumeration (0 = the spec
 	// package default).
 	MaxMineIterations int
@@ -145,8 +128,8 @@ type Options struct {
 	// declaring the budget exhausted.
 	MemBudgetMB int
 	// Ladder overrides the degradation ladder. Empty selects the
-	// default derived from the configured strategy: configured →
-	// no-cube → serial → no-preprocess.
+	// default derived from the configured strategy: rf (forced rf
+	// backend only) → configured → no-preprocess.
 	Ladder []Rung
 	// Faults arms deterministic fault injection at the solver,
 	// encoder, and mining hook points (tests and chaos runs only).
@@ -205,15 +188,10 @@ func (o Options) encodeConfig() encode.Config {
 	return cfg
 }
 
-// strategy maps the parallelism options onto a spec.Strategy
-// accumulating into ps.
-func (o Options) strategy(ps *spec.ParStats) spec.Strategy {
+// strategy maps the options onto a spec.Strategy.
+func (o Options) strategy() spec.Strategy {
 	return spec.Strategy{
-		Portfolio:         o.Portfolio,
-		ShareClauses:      o.ShareClauses,
-		Cube:              o.Cube,
 		MaxMineIterations: o.MaxMineIterations,
-		Stats:             ps,
 		Faults:            o.Faults,
 	}
 }
@@ -245,13 +223,10 @@ type Stats struct {
 	BoundRounds    int
 
 	// Multi-backend routing: the backend that produced the verdict
-	// ("rf" or "sat"), the router's reasoning, whether the auto
-	// backend's small-instance guard stripped portfolio/cube from a
-	// SAT solve, and the rf engine's work counters (zero on pure SAT
-	// checks).
+	// ("rf" or "sat"), the router's reasoning, and the rf engine's work
+	// counters (zero on pure SAT checks).
 	Backend        string
 	RouterDecision string
-	AutoSerial     bool
 	RFSteps        int
 	RFExecs        int
 	RFConsistent   int
@@ -276,26 +251,17 @@ type Stats struct {
 	AssumedLits   int
 	AssumeDropped int
 
-	// Intra-check parallelism counters: cube-and-conquer cubes issued
-	// and refuted (phase 2 plus partitioned mining), and clause-sharing
-	// traffic summed over portfolio members. All zero on serial runs.
-	Cubes          int
-	CubesRefuted   int
-	SharedExported int64
-	SharedImported int64
-	SharedUseful   int64
-
-	// Inprocessing work of the inclusion check (base solver plus
-	// portfolio/cube workers): literals removed by clause vivification
-	// (and the clauses they came from), learnt clauses deleted by
-	// on-the-fly subsumption, and conflicts resolved by a chronological
-	// backtrack. Zero with Options.NoInprocess.
+	// Inprocessing work of the inclusion check's solver: literals
+	// removed by clause vivification (and the clauses they came from),
+	// learnt clauses deleted by on-the-fly subsumption, and conflicts
+	// resolved by a chronological backtrack. Zero with
+	// Options.NoInprocess.
 	VivifiedLits     int64
 	VivifiedClauses  int64
 	SubsumedLearnts  int64
 	ChronoBacktracks int64
-	// Learnt-database tier sizes of the inclusion check's base solver
-	// at the end of the check.
+	// Learnt-database tier sizes of the inclusion check's solver at the
+	// end of the check.
 	TierCore  int
 	TierMid   int
 	TierLocal int
@@ -390,7 +356,6 @@ func Check(implName, testName string, opts Options) (*Result, error) {
 // BudgetReport, not an error.
 func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, error) {
 	start := time.Now()
-	opts = opts.normalizeBackend()
 	if opts.MaxBoundRounds <= 0 {
 		opts.MaxBoundRounds = 12
 	}
@@ -538,21 +503,6 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 	res.Stats.Loads = unrolled.Loads
 	res.Stats.Stores = unrolled.Stores
 
-	// Parallel-work counters accumulated across mining and the
-	// inclusion check of this invocation.
-	var pstats spec.ParStats
-	defer func() {
-		res.Stats.Cubes += pstats.Cubes
-		res.Stats.CubesRefuted += pstats.CubesRefuted
-		res.Stats.SharedExported += pstats.SharedExported
-		res.Stats.SharedImported += pstats.SharedImported
-		res.Stats.SharedUseful += pstats.SharedUseful
-		res.Stats.VivifiedClauses += pstats.VivifiedClauses
-		res.Stats.VivifiedLits += pstats.VivifiedLits
-		res.Stats.SubsumedLearnts += pstats.SubsumedLearnts
-		res.Stats.ChronoBacktracks += pstats.ChronoBacktracks
-	}()
-
 	// Multi-backend routing: run the reads-from engine when the
 	// backend selection and cost model pick it. Under auto, an rf
 	// budget failure falls back to SAT within this same attempt (no
@@ -580,7 +530,7 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 	// mineSpec (shared with the sweep scheduler).
 	mineStart := time.Now()
 	theSpec, seqTrace, err := mineSpec(impl, test, built, unrolled, info, bounds,
-		opts, deadline, &pstats, res)
+		opts, deadline, res)
 	if err != nil {
 		return false, err
 	}
@@ -598,10 +548,7 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 	res.Stats.ObsSetSize = theSpec.Len()
 	res.Stats.MineTime += time.Since(mineStart)
 
-	// Inclusion check. The formula is encoded and preprocessed once;
-	// any configured parallelism (portfolio, cube-and-conquer) solves
-	// CloneFormula snapshots of it, so encoding cost never scales with
-	// the worker count.
+	// Inclusion check.
 	encodeStart := time.Now()
 	enc := encode.NewWithConfig(opts.Model, info, opts.encodeConfig())
 	applyLimits(enc, opts, deadline)
@@ -612,7 +559,7 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 	res.Stats.EncodeTime += time.Since(encodeStart)
 
 	refuteStart := time.Now()
-	strat := opts.solveStrategy(enc, &pstats, res)
+	strat := opts.strategy()
 	if len(opts.Assume) > 0 {
 		strat.Assume = assumeLits(enc, opts.Assume)
 		res.Stats.AssumedLits = len(strat.Assume)
@@ -634,8 +581,6 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 	res.Stats.ClausesSubsumed = st.ClausesSubsumed
 	res.Stats.ClausesStrengthened = st.ClausesStrengthened
 	res.Stats.PreprocessTime = st.PreprocessTime
-	// Base-solver inprocessing work; the parallel workers' share is
-	// folded in from pstats when runCheck returns.
 	res.Stats.VivifiedClauses += st.VivifiedClauses
 	res.Stats.VivifiedLits += st.VivifiedLits
 	res.Stats.SubsumedLearnts += st.SubsumedLearnts
@@ -675,8 +620,7 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 // set; the caller owns its validation.
 func mineSpec(impl *harness.Impl, test *harness.Test, built *harness.Built,
 	unrolled *harness.Unrolled, info *ranges.Info, bounds map[string]int,
-	opts Options, deadline time.Time, pstats *spec.ParStats,
-	res *Result) (*spec.Set, *trace.Trace, error) {
+	opts Options, deadline time.Time, res *Result) (*spec.Set, *trace.Trace, error) {
 
 	if opts.Spec != nil {
 		return opts.Spec, nil, nil
@@ -695,7 +639,7 @@ func mineSpec(impl *harness.Impl, test *harness.Test, built *harness.Built,
 				return nil, 0, err
 			}
 			serialEnc.AssertNoOverflow()
-			strat := opts.solveStrategy(serialEnc, pstats, res)
+			strat := opts.strategy()
 			strat.Resume = resume
 			strat.ResumeIterations = resumeIters
 			if cache := opts.SpecCache; cache != nil {

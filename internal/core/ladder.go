@@ -2,9 +2,9 @@ package core
 
 // This file implements the resource-governance layer of the driver:
 // per-check budgets (wall clock, conflicts, memory) and the
-// degradation ladder that steps a failing check down through cheaper
-// strategies — drop cube-and-conquer, drop the portfolio, disable CNF
-// preprocessing — before giving up with a structured VerdictUnknown.
+// degradation ladder that steps a failing check down to a cheaper
+// strategy — CNF preprocessing disabled — before giving up with a
+// structured VerdictUnknown.
 // CheckFence's queries are worst-case intractable, so a production
 // suite needs every check to terminate with *some* answer: a verdict
 // when the budgets allow one, and an explanation when they do not.
@@ -46,24 +46,18 @@ func (v Verdict) String() string {
 }
 
 // Rung is one step of the degradation ladder: a named strategy the
-// check is attempted with. Later rungs are cheaper (less parallelism,
-// less preprocessing) and so more likely to fit a budget's constant
-// factors, at the cost of raw speed on hard instances.
+// check is attempted with. Later rungs are cheaper (no preprocessing)
+// and so more likely to fit a budget's constant factors, at the cost
+// of raw speed on hard instances.
 type Rung struct {
 	Name         string
 	Backend      Backend
-	Portfolio    int
-	ShareClauses bool
-	Cube         int
 	NoPreprocess bool
 }
 
 // apply substitutes the rung's strategy into the options.
 func (r Rung) apply(opts Options) Options {
 	opts.Backend = r.Backend
-	opts.Portfolio = r.Portfolio
-	opts.ShareClauses = r.ShareClauses
-	opts.Cube = r.Cube
 	if r.NoPreprocess {
 		opts.NoPreprocess = true
 	}
@@ -102,10 +96,8 @@ func (o Options) budgetReport(rungs []RungReport) *BudgetReport {
 
 // ladder returns the effective degradation ladder: Options.Ladder when
 // set, otherwise a default derived from the configured strategy —
-// configured → without cube-and-conquer → fully serial → serial
-// without CNF preprocessing. Rungs that would repeat the previous
-// strategy are skipped, so a fully serial configuration gets two rungs
-// (itself, then no-preprocess).
+// configured → without CNF preprocessing (skipped when preprocessing
+// is already off), preceded by an rf rung under a forced rf backend.
 func (o Options) ladder() []Rung {
 	if len(o.Ladder) > 0 {
 		return o.Ladder
@@ -119,19 +111,8 @@ func (o Options) ladder() []Rung {
 		rungs = append(rungs, Rung{Name: "rf", Backend: BackendRF})
 		satBackend = BackendSAT
 	}
-	cur := Rung{Name: "configured", Backend: satBackend, Portfolio: o.Portfolio,
-		ShareClauses: o.ShareClauses, Cube: o.Cube, NoPreprocess: o.NoPreprocess}
+	cur := Rung{Name: "configured", Backend: satBackend, NoPreprocess: o.NoPreprocess}
 	rungs = append(rungs, cur)
-	if cur.Cube > 1 {
-		cur.Cube = 0
-		cur.Name = "no-cube"
-		rungs = append(rungs, cur)
-	}
-	if cur.Portfolio > 1 {
-		cur.Portfolio, cur.ShareClauses = 0, false
-		cur.Name = "serial"
-		rungs = append(rungs, cur)
-	}
 	if !cur.NoPreprocess {
 		cur.NoPreprocess = true
 		cur.Name = "no-preprocess"

@@ -13,7 +13,7 @@ import (
 )
 
 // Job is one check of a suite: an implementation, a test, and the
-// per-check options (model, spec source, portfolio width, ...).
+// per-check options (model, spec source, budgets, ...).
 type Job struct {
 	Impl string
 	Test string

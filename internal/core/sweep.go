@@ -157,10 +157,10 @@ func sweepEligible(o Options) bool {
 // and therefore always sound.
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d pf=%d shc=%t cube=%d mmi=%d "+
+	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d mmi=%d "+
 		"simp=%d nopre=%t noinp=%t noord=%t vt=%d dl=%d cb=%d mem=%d cache=%p cancel=%p",
 		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxBoundRounds,
-		o.Portfolio, o.ShareClauses, o.Cube, o.MaxMineIterations,
+		o.MaxMineIterations,
 		o.SimplifyLevel, o.NoPreprocess, o.NoInprocess, o.NoOrderReduce,
 		o.ValidateTraces, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
 		o.SpecCache, o.Cancel)
@@ -566,25 +566,11 @@ func (g *sweepGroup) sweepRound(outs map[memmodel.Model]*modelOutcome,
 	leader := pending[0]
 	leaderRes := results[leader]
 
-	var pstats spec.ParStats
-	defer func() {
-		st := &leaderRes.Stats
-		st.Cubes += pstats.Cubes
-		st.CubesRefuted += pstats.CubesRefuted
-		st.SharedExported += pstats.SharedExported
-		st.SharedImported += pstats.SharedImported
-		st.SharedUseful += pstats.SharedUseful
-		st.VivifiedClauses += pstats.VivifiedClauses
-		st.VivifiedLits += pstats.VivifiedLits
-		st.SubsumedLearnts += pstats.SubsumedLearnts
-		st.ChronoBacktracks += pstats.ChronoBacktracks
-	}()
-
 	// Specification: mined once for the whole group (the observation
 	// set is model-independent, §3.2).
 	mineStart := time.Now()
 	set, seqTrace, err := mineSpec(impl, test, built, unrolled, info, bounds,
-		opts, deadline, &pstats, leaderRes)
+		opts, deadline, leaderRes)
 	leaderRes.Stats.MineTime += time.Since(mineStart)
 	if err != nil {
 		return nil, err
@@ -630,7 +616,6 @@ func (g *sweepGroup) sweepRound(outs map[memmodel.Model]*modelOutcome,
 	enc.AssertNoOverflow()
 	leaderRes.Stats.EncodeTime += time.Since(encodeStart)
 
-	strat := opts.solveStrategy(enc, &pstats, leaderRes)
 	ppStart := time.Now()
 	sc, err := spec.NewSweepCheck(enc, built.Entries)
 	leaderRes.Stats.RefuteTime += time.Since(ppStart)
@@ -662,7 +647,7 @@ func (g *sweepGroup) sweepRound(outs map[memmodel.Model]*modelOutcome,
 			continue
 		}
 		solveStart := time.Now()
-		cex, err := sc.ErrorCheck(m, strat)
+		cex, err := sc.ErrorCheck(m)
 		results[m].Stats.RefuteTime += time.Since(solveStart)
 		if err != nil {
 			return nil, err
@@ -701,7 +686,7 @@ func (g *sweepGroup) sweepRound(outs map[memmodel.Model]*modelOutcome,
 				continue
 			}
 			solveStart := time.Now()
-			cex, err := sc.Inclusion(m, strat)
+			cex, err := sc.Inclusion(m)
 			results[m].Stats.RefuteTime += time.Since(solveStart)
 			if err != nil {
 				return nil, err

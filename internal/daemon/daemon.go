@@ -510,7 +510,15 @@ func (s *Server) recordResult(line *ResultLine, r core.SuiteResult) {
 		if d := r.Res.Stats.RouterDecision; d != "" {
 			s.router[d]++
 		}
-		s.sweeps += int64(r.Res.Stats.SweepGroups)
+		// Count a sweep group once, on its leader (the strongest model):
+		// the only sweep-produced member with EncodesReused == 0. Each
+		// sweep round is led by its first pending model, and that is
+		// always the leader: a leader that fails early decides every
+		// weaker model in the same round, since its counterexample is
+		// theirs too.
+		if st := r.Res.Stats; st.SweepGroups > 0 && st.EncodesReused == 0 {
+			s.sweeps++
+		}
 		if r.Res.Budget != nil && len(r.Res.Budget.Rungs) > 0 {
 			s.budgets++
 		}

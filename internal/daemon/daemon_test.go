@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -158,6 +159,17 @@ func TestBatchMatchesDirect(t *testing.T) {
 	}
 	if scrapeMetric(t, ts, "checkfenced_inflight_jobs") != 0 {
 		t.Error("inflight_jobs != 0 after batch completion")
+	}
+	// Sweep groups count once per group, not once per member: the
+	// two-model batch formed one group, and a four-model batch adds 1.
+	if got := scrapeMetric(t, ts, "checkfenced_sweep_groups_total"); got != 1 {
+		t.Errorf("sweep_groups_total = %d after a two-model batch, want 1", got)
+	}
+	postBatch(t, ts, `{
+		"jobs": [{"program": {"name": "ms2"}, "test": "T0", "models": ["sc", "tso", "pso", "relaxed"]}]
+	}`)
+	if got := scrapeMetric(t, ts, "checkfenced_sweep_groups_total"); got != 2 {
+		t.Errorf("sweep_groups_total = %d after a four-model batch, want 2", got)
 	}
 }
 
@@ -462,12 +474,20 @@ func TestBadRequests(t *testing.T) {
 
 	cases := []struct {
 		name, body string
+		want       int
 	}{
-		{"bad json", `{"jobs": [`},
-		{"empty batch", `{"jobs": []}`},
-		{"unknown model", `{"jobs":[{"program":{"name":"msn"},"test":"T0","model":"ppc"}]}`},
-		{"unknown impl", `{"jobs":[{"program":{"name":"nope"},"test":"T0","model":"sc"}]}`},
-		{"over batch cap", `{"jobs":[{"program":{"name":"msn"},"test":"T0","models":["sc","tso","pso"]}]}`},
+		{"bad json", `{"jobs": [`, http.StatusBadRequest},
+		{"empty batch", `{"jobs": []}`, http.StatusBadRequest},
+		{"unknown model", `{"jobs":[{"program":{"name":"msn"},"test":"T0","model":"ppc"}]}`, http.StatusBadRequest},
+		{"unknown impl", `{"jobs":[{"program":{"name":"nope"},"test":"T0","model":"sc"}]}`, http.StatusBadRequest},
+		{"over batch cap", `{"jobs":[{"program":{"name":"msn"},"test":"T0","models":["sc","tso","pso"]}]}`, http.StatusBadRequest},
+		// The in-process portfolio and cube-and-conquer backends are
+		// gone: naming one is a bad request...
+		{"portfolio backend", `{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","backend":"portfolio"}]}`, http.StatusBadRequest},
+		{"cube backend", `{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","backend":"cube"}]}`, http.StatusBadRequest},
+		// ...while their old tuning knobs are ignored and the job runs.
+		{"legacy portfolio knobs", `{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","portfolio":4,"share_clauses":true}]}`, http.StatusOK},
+		{"legacy cube knob", `{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","cube":4}]}`, http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -475,9 +495,13 @@ func TestBadRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s: %s, want 400", tc.name, resp.Status)
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s: %s, want %d", tc.name, resp.Status, tc.want)
+			}
+			if tc.want == http.StatusOK && !strings.Contains(string(body), `"verdict":"pass"`) {
+				t.Errorf("%s: stream lacks a pass verdict:\n%s", tc.name, body)
 			}
 		})
 	}

@@ -856,9 +856,7 @@ func (e *Encoder) SelectorLits(m memmodel.Model) []sat.Lit {
 
 // SelectorSatVars returns the SAT variables of the sweep selectors
 // (nil on single-model encoders, or before Encode). PreprocessCNF
-// freezes them, and the cube splitter avoids them: a cube fixing a
-// selector contradicts half the per-model assumption sets and solves
-// trivially instead of usefully.
+// freezes them: every per-model solve assumes them.
 func (e *Encoder) SelectorSatVars() []int {
 	if len(e.selectors) == 0 {
 		return nil

@@ -42,52 +42,6 @@ func TestConstValInvariants(t *testing.T) {
 	}
 }
 
-// TestEvalValInCloneMatchesSerial: decoding a symbolic value through
-// a winner clone's model (the portfolio/cube path) must agree with the
-// serial EvalVal once the encoder's own solver adopts that model.
-func TestEvalValInCloneMatchesSerial(t *testing.T) {
-	e := newTestEncoder()
-	threads := []Thread{
-		{Name: "init"},
-		{Name: "t1", Segments: [][]lsl.Stmt{{
-			&lsl.ConstStmt{Dst: "p", Val: lsl.Ptr(0)},
-			&lsl.HavocStmt{Dst: "h", Bits: 2},
-			&lsl.StoreStmt{Addr: "p", Src: "h"},
-			&lsl.LoadStmt{Dst: "r", Addr: "p"},
-		}}, OpIDs: []int{0}},
-	}
-	if err := e.Encode(threads); err != nil {
-		t.Fatal(err)
-	}
-	if e.S.Solve() != sat.Sat {
-		t.Fatal("encoding must be satisfiable")
-	}
-	clone := e.S.CloneFormula()
-	if clone.Solve() != sat.Sat {
-		t.Fatal("clone must be satisfiable")
-	}
-	e.S.AdoptModelFrom(clone)
-	for _, reg := range []lsl.Reg{"p", "h", "r"} {
-		sv, ok := e.Envs[1][reg]
-		if !ok {
-			t.Fatalf("register %s not in thread env", reg)
-		}
-		got := e.EvalValIn(clone, sv)
-		want := e.EvalVal(sv)
-		if !got.Equal(want) {
-			t.Errorf("%s: EvalValIn(clone) = %v, EvalVal after adopt = %v", reg, got, want)
-		}
-	}
-	// The recorded havoc decodes to the same value both ways too.
-	if len(e.Havocs) != 1 {
-		t.Fatalf("Havocs = %d, want 1", len(e.Havocs))
-	}
-	h := e.Havocs[0]
-	if got, want := e.B.EvalBVIn(clone, h.Val), e.B.EvalBV(h.Val); got != want {
-		t.Errorf("havoc: EvalBVIn(clone) = %d, EvalBV = %d", got, want)
-	}
-}
-
 func TestEqValConstantFolding(t *testing.T) {
 	e := newTestEncoder()
 	cases := []struct {

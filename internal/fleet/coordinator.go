@@ -120,7 +120,7 @@ type Metrics struct {
 	Requeues         int64 // tasks put back after a lost lease or error
 	Quarantines      int64 // poison circuit-breaker trips
 	Speculations     int64 // straggler re-dispatches
-	DupResults       int64 // duplicate results dropped by dedup
+	DupResults       int64 // results for tasks that already have their outcome
 	LateResults      int64 // results rejected after lease reassignment
 	LocalFallbacks   int64 // tasks solved locally after retry exhaustion
 	SpecMismatches   int64 // PASS aggregations with divergent specs
@@ -198,7 +198,7 @@ type Coordinator struct {
 	mu      sync.Mutex
 	queue   []*task // dispatch order; nextAt-gated
 	tasks   map[string]*task
-	done    map[string]bool // completed task IDs, for duplicate dedup
+	done    map[string]bool // completed task IDs of checks in flight, for duplicate dedup
 	parents map[string]*parent
 	health  map[string]*workerHealth
 	metrics Metrics
@@ -337,7 +337,6 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 		t.state = "done" // claimed by the local solver
 		t.localCause = "quarantine"
 		c.metrics.Quarantines++
-		t.check = stripStrategy(t.check)
 		return t
 	}
 	if t.attempts > c.cfg.maxRetries() {
@@ -367,17 +366,6 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 		c.queue = append(c.queue, t)
 	}
 	return nil
-}
-
-// stripStrategy removes intra-check parallelism from a quarantined
-// cube's description: the local solve runs the plainest strategy that
-// can still answer.
-func stripStrategy(ck job.Check) job.Check {
-	ck.Portfolio, ck.ShareClauses, ck.Cube = 0, false, 0
-	if ck.Backend == "portfolio" || ck.Backend == "cube" {
-		ck.Backend = "sat"
-	}
-	return ck
 }
 
 // solveLocally runs a task in the coordinator process (retry budget
@@ -584,7 +572,10 @@ func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, local bo
 	}
 	t, ok := c.tasks[taskID]
 	if !ok {
-		c.metrics.LateResults++
+		// Neither open nor in the done-set: the task's check has
+		// finished and finish dropped its IDs, so the task had its
+		// outcome — a duplicate like the above, arriving later.
+		c.metrics.DupResults++
 		c.mu.Unlock()
 		return false
 	}
@@ -669,6 +660,13 @@ func (c *Coordinator) finish(p *parent) {
 	}
 	c.mu.Lock()
 	p.outcome = out
+	// The check is answered: forget its task IDs, so the maps stay
+	// bounded and an identical check submitted later plans afresh
+	// instead of having its results dropped as duplicates.
+	for _, t := range p.tasks {
+		delete(c.done, t.id)
+		delete(c.tasks, t.id)
+	}
 	close(p.done)
 	c.mu.Unlock()
 }

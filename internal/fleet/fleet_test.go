@@ -580,3 +580,33 @@ func TestSingleFlightSharesFanOut(t *testing.T) {
 		t.Fatalf("single-flight violated: %d tasks completed for one 4-cube check", m.TasksCompleted)
 	}
 }
+
+// TestResubmitAfterFinish: an identical check submitted again once the
+// first submission has finished must be planned and answered afresh —
+// not have its cube results dropped as duplicates of the finished
+// check's — and a finished check must leave no task bookkeeping behind.
+func TestResubmitAfterFinish(t *testing.T) {
+	c := newTestCoordinator(t, fastConfig())
+	startWorker(t, c, "w1", nil)
+
+	ck := testCheck("ms2", "T0", "sc")
+	want := serialOracle(t, ck)
+	for i := 1; i <= 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		got, err := c.CheckDistributed(ctx, ck)
+		cancel()
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		assertAgrees(t, got, want, fmt.Sprintf("submission %d", i))
+		c.mu.Lock()
+		open, done := len(c.tasks), len(c.done)
+		c.mu.Unlock()
+		if open != 0 || done != 0 {
+			t.Fatalf("after submission %d: %d open and %d done task IDs retained, want 0 and 0", i, open, done)
+		}
+	}
+	if m := c.Metrics(); m.DupResults != 0 {
+		t.Errorf("resubmission results dropped as duplicates: %+v", m)
+	}
+}

@@ -1,6 +1,6 @@
 // Package job defines the serializable check description: one
 // CheckFence verification problem — program, test, memory model,
-// unrolling bounds, backend selection, solver strategy, resource
+// unrolling bounds, backend selection, solver options, resource
 // budgets, and cube assumptions — round-tripped through
 // JSON. It is the wire format of the checkfenced daemon's /v1/check
 // endpoint and the unit a cross-process cube-and-conquer fan-out
@@ -94,7 +94,7 @@ type Check struct {
 	// "serial".
 	Model string `json:"model"`
 	// Backend selects the verdict engine: "auto" (default), "rf",
-	// "sat", "portfolio", "cube".
+	// "sat".
 	Backend string `json:"backend,omitempty"`
 	// SpecSource is "sat" (default: mine from the implementation) or
 	// "refset".
@@ -104,10 +104,9 @@ type Check struct {
 	// MaxBoundRounds caps the lazy-unrolling iterations (0 = default).
 	MaxBoundRounds int `json:"max_bound_rounds,omitempty"`
 
-	// Solver strategy.
-	Portfolio         int  `json:"portfolio,omitempty"`
-	ShareClauses      bool `json:"share_clauses,omitempty"`
-	Cube              int  `json:"cube,omitempty"`
+	// Solver options. Every check runs one serial solver; descriptions
+	// from older clients may still carry "portfolio", "share_clauses"
+	// or "cube", which decode as unknown fields and are ignored.
 	MaxMineIterations int  `json:"max_mine_iterations,omitempty"`
 	SimplifyLevel     int  `json:"simplify_level,omitempty"`
 	NoPreprocess      bool `json:"no_preprocess,omitempty"`
@@ -217,9 +216,6 @@ func (c *Check) Options() (core.Options, error) {
 		SpecSource:           src,
 		DisableRangeAnalysis: c.NoRangeAnalysis,
 		MaxBoundRounds:       c.MaxBoundRounds,
-		Portfolio:            c.Portfolio,
-		ShareClauses:         c.ShareClauses,
-		Cube:                 c.Cube,
 		MaxMineIterations:    c.MaxMineIterations,
 		SimplifyLevel:        c.SimplifyLevel,
 		NoPreprocess:         c.NoPreprocess,
@@ -312,9 +308,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		Model:             o.Model.String(),
 		NoRangeAnalysis:   o.DisableRangeAnalysis,
 		MaxBoundRounds:    o.MaxBoundRounds,
-		Portfolio:         o.Portfolio,
-		ShareClauses:      o.ShareClauses,
-		Cube:              o.Cube,
 		MaxMineIterations: o.MaxMineIterations,
 		SimplifyLevel:     o.SimplifyLevel,
 		NoPreprocess:      o.NoPreprocess,
@@ -377,8 +370,7 @@ func (c *Check) Fingerprint() string {
 		write("bound", k, strconv.Itoa(c.Bounds[k]))
 	}
 	write("mbr", strconv.Itoa(c.MaxBoundRounds),
-		"pf", strconv.Itoa(c.Portfolio), "shc", strconv.FormatBool(c.ShareClauses),
-		"cube", strconv.Itoa(c.Cube), "mmi", strconv.Itoa(c.MaxMineIterations),
+		"mmi", strconv.Itoa(c.MaxMineIterations),
 		"simp", strconv.Itoa(c.SimplifyLevel),
 		"nopre", strconv.FormatBool(c.NoPreprocess),
 		"noinp", strconv.FormatBool(c.NoInprocess),

@@ -15,13 +15,10 @@ func TestRoundTrip(t *testing.T) {
 		Program:           Program{Name: "msn"},
 		Test:              "T0",
 		Model:             "tso",
-		Backend:           "portfolio",
+		Backend:           "rf",
 		SpecSource:        "refset",
 		Bounds:            map[string]int{"L0": 2},
 		MaxBoundRounds:    5,
-		Portfolio:         3,
-		ShareClauses:      true,
-		Cube:              8,
 		MaxMineIterations: 100,
 		SimplifyLevel:     2,
 		NoPreprocess:      true,
@@ -121,15 +118,14 @@ func TestOptionsMapping(t *testing.T) {
 
 func TestFromOptionsInverts(t *testing.T) {
 	orig := core.Options{
-		Model:          memmodel.TSO,
-		Backend:        core.BackendCube,
-		SpecSource:     core.SpecRef,
-		Sweep:          core.SweepOff,
-		ValidateTraces: core.ValidateOff,
-		Portfolio:      2,
-		Cube:           16,
-		Deadline:       time.Minute,
-		InitialBounds:  map[string]int{"L0": 4},
+		Model:             memmodel.TSO,
+		Backend:           core.BackendRF,
+		SpecSource:        core.SpecRef,
+		Sweep:             core.SweepOff,
+		ValidateTraces:    core.ValidateOff,
+		MaxMineIterations: 16,
+		Deadline:          time.Minute,
+		InitialBounds:     map[string]int{"L0": 4},
 	}
 	c := FromOptions("ms2", "Tr1", orig)
 	got, err := c.Options()
@@ -139,7 +135,7 @@ func TestFromOptionsInverts(t *testing.T) {
 	if got.Model != orig.Model || got.Backend != orig.Backend ||
 		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
 		got.ValidateTraces != orig.ValidateTraces ||
-		got.Portfolio != orig.Portfolio || got.Cube != orig.Cube ||
+		got.MaxMineIterations != orig.MaxMineIterations ||
 		got.Deadline != orig.Deadline {
 		t.Errorf("FromOptions . Options != identity:\norig %+v\ngot  %+v", orig, got)
 	}
@@ -158,6 +154,10 @@ func TestValidateErrors(t *testing.T) {
 		{"no test", Check{Program: Program{Name: "msn"}}, "test is required"},
 		{"bad model", Check{Program: Program{Name: "msn"}, Test: "T0", Model: "ppc"}, "ppc"},
 		{"bad backend", Check{Program: Program{Name: "msn"}, Test: "T0", Backend: "z3"}, "z3"},
+		// The in-process portfolio and cube-and-conquer backends are
+		// gone; naming them is an error, not a silent serial run.
+		{"portfolio backend", Check{Program: Program{Name: "msn"}, Test: "T0", Backend: "portfolio"}, "portfolio"},
+		{"cube backend", Check{Program: Program{Name: "msn"}, Test: "T0", Backend: "cube"}, "cube"},
 		{"bad spec source", Check{Program: Program{Name: "msn"}, Test: "T0", SpecSource: "oracle"}, "spec source"},
 		{"bad sweep", Check{Program: Program{Name: "msn"}, Test: "T0", Sweep: "sideways"}, "sideways"},
 		{"negative timeout", Check{Program: Program{Name: "msn"}, Test: "T0", Timeout: Duration(-1)}, "negative timeout"},
@@ -294,8 +294,54 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Error("model change should change the fingerprint")
 	}
 	e := a
-	e.Cube = 4
+	e.MaxMineIterations = 4
 	if e.Fingerprint() == a.Fingerprint() {
-		t.Error("strategy change should change the fingerprint")
+		t.Error("option change should change the fingerprint")
+	}
+}
+
+// TestLegacyStrategyFields: descriptions from clients that still send
+// the removed in-process parallelism knobs decode, validate,
+// fingerprint like the plain description, and run to the plain
+// description's verdict and observation set.
+func TestLegacyStrategyFields(t *testing.T) {
+	const plain = `{"program":{"name":"msn"},"test":"T0","model":"relaxed"}`
+	var want Check
+	if err := json.Unmarshal([]byte(plain), &want); err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := core.Check("msn", "T0", core.Options{Model: memmodel.Relaxed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, json string }{
+		{"portfolio", `{"program":{"name":"msn"},"test":"T0","model":"relaxed","portfolio":4}`},
+		{"share_clauses", `{"program":{"name":"msn"},"test":"T0","model":"relaxed","share_clauses":true}`},
+		{"cube", `{"program":{"name":"msn"},"test":"T0","model":"relaxed","cube":4}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Check
+			if err := json.Unmarshal([]byte(tc.json), &c); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+			if c.Fingerprint() != want.Fingerprint() {
+				t.Error("a removed knob changed the fingerprint")
+			}
+			j, err := c.CoreJob()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Check(j.Impl, j.Test, j.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Verdict != wantRes.Verdict || !res.Spec.Equal(wantRes.Spec) {
+				t.Errorf("verdict %v (%d obs), want %v (%d obs)",
+					res.Verdict, res.Spec.Len(), wantRes.Verdict, wantRes.Spec.Len())
+			}
+		})
 	}
 }

@@ -8,9 +8,8 @@
 //     enumerated by the reference interpreter over all thread
 //     interleavings (the serial model runs whole threads atomically,
 //     so these are exactly the thread permutations);
-//   - the inclusion verdict must agree across the encoder/solver
-//     configurations cmd/checkfence exposes (-simplify, -portfolio,
-//     -cube);
+//   - the inclusion verdict must agree across the encoder
+//     configurations cmd/checkfence exposes (-simplify);
 //   - verdicts must be monotone in model strength (an execution of a
 //     stronger model is an execution of every weaker one);
 //   - the polynomial reads-from engine (internal/rf) must accept every
@@ -206,20 +205,17 @@ func (p *GenProgram) SerialObservations() (*spec.Set, error) {
 	return set, nil
 }
 
-// diffConfig pairs an encoder configuration with a solve strategy —
-// the knobs cmd/checkfence exposes as -simplify, -portfolio and -cube.
+// diffConfig names an encoder configuration — the knob cmd/checkfence
+// exposes as -simplify.
 type diffConfig struct {
-	name  string
-	enc   encode.Config
-	strat spec.Strategy
+	name string
+	enc  encode.Config
 }
 
 func diffConfigs() []diffConfig {
 	return []diffConfig{
-		{"default", encode.DefaultConfig(), spec.Strategy{}},
-		{"tseitin", encode.Config{}, spec.Strategy{}},
-		{"portfolio", encode.DefaultConfig(), spec.Strategy{Portfolio: 2, ShareClauses: true}},
-		{"cube", encode.DefaultConfig(), spec.Strategy{Cube: 2}},
+		{"default", encode.DefaultConfig()},
+		{"tseitin", encode.Config{}},
 	}
 }
 
@@ -242,7 +238,7 @@ func RunDifferential(data []byte) error {
 		if err := e.Encode(p.Threads); err != nil {
 			return fmt.Errorf("encode serial [%s]: %v\nprogram:\n%s", cfg.name, err, p.Desc())
 		}
-		mined, _, err := spec.MineWith(e, p.Entries, cfg.strat)
+		mined, _, err := spec.MineWith(e, p.Entries, spec.Strategy{})
 		if err != nil {
 			return fmt.Errorf("mine [%s]: %v\nprogram:\n%s", cfg.name, err, p.Desc())
 		}
@@ -274,13 +270,13 @@ func RunDifferential(data []byte) error {
 	fail := map[memmodel.Model]bool{}
 	mined := map[memmodel.Model]*spec.Set{}
 	for _, model := range models {
-		verdicts := make([]bool, 0, 4)
+		verdicts := make([]bool, 0, len(diffConfigs()))
 		for _, cfg := range diffConfigs() {
 			e := encode.NewWithConfig(model, info, cfg.enc)
 			if err := e.Encode(p.Threads); err != nil {
 				return fmt.Errorf("encode %s [%s]: %v\nprogram:\n%s", model, cfg.name, err, p.Desc())
 			}
-			cex, err := spec.CheckInclusionWith(e, p.Entries, want, cfg.strat)
+			cex, err := spec.CheckInclusionWith(e, p.Entries, want, spec.Strategy{})
 			if err != nil {
 				return fmt.Errorf("inclusion %s [%s]: %v\nprogram:\n%s", model, cfg.name, err, p.Desc())
 			}
@@ -402,7 +398,7 @@ func RunDifferential(data []byte) error {
 		return fmt.Errorf("sweep check: %v\nprogram:\n%s", err, p.Desc())
 	}
 	for _, m := range sweepModels {
-		cex, err := sc.ErrorCheck(m, spec.Strategy{})
+		cex, err := sc.ErrorCheck(m)
 		if err != nil {
 			return fmt.Errorf("sweep error check %s: %v\nprogram:\n%s", m, err, p.Desc())
 		}
@@ -415,7 +411,7 @@ func RunDifferential(data []byte) error {
 		return fmt.Errorf("sweep begin inclusion: %v\nprogram:\n%s", err, p.Desc())
 	}
 	for _, m := range sweepModels {
-		cex, err := sc.Inclusion(m, spec.Strategy{})
+		cex, err := sc.Inclusion(m)
 		if err != nil {
 			return fmt.Errorf("sweep inclusion %s: %v\nprogram:\n%s", m, err, p.Desc())
 		}

@@ -21,12 +21,13 @@ package sat
 // such as mining shares them); each Solve call re-arms its own
 // counters. A Solve that stops on a budget returns Unknown and
 // records the typed cause, readable via BudgetErr until the next
-// Solve; a Solve stopped by Interrupt or the stop predicate leaves
-// BudgetErr nil, so callers can tell cancellation from exhaustion.
+// Solve; a Solve stopped by the stop predicate leaves BudgetErr nil,
+// so callers can tell cancellation from exhaustion.
 
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"checkfence/internal/faultinject"
@@ -114,8 +115,8 @@ func (s *Solver) SetFaults(f faultinject.Faults) { s.faults = f }
 
 // BudgetErr returns the typed cause of the last Solve's Unknown
 // result when a budget was exhausted, and nil when the solver was
-// interrupted or stopped externally (or the last Solve was
-// definitive). It is reset at the start of every Solve.
+// stopped externally (or the last Solve was definitive). It is reset
+// at the start of every Solve.
 func (s *Solver) BudgetErr() *ErrBudget { return s.budgetErr }
 
 // learntClauseOverhead approximates the per-clause bookkeeping bytes
@@ -130,7 +131,7 @@ func (s *Solver) learntBytes() int64 {
 }
 
 // recountLearntLits recomputes the learnt-literal counter after a
-// bulk change to the learnt database (reduceDB, clone construction).
+// bulk change to the learnt database (reduceDB).
 func (s *Solver) recountLearntLits() {
 	var n int64
 	for _, c := range s.learnts {
@@ -177,4 +178,12 @@ func (s *Solver) checkBudgets(solveStart time.Time, startProps int64) *ErrBudget
 		}
 	}
 	return nil
+}
+
+// RecoverAsError converts a recovered panic value into the typed
+// error the panic-isolation layers report
+// (*faultinject.RecoveredPanic, capturing the stack at the recovery
+// point). Call it from a deferred recover handler.
+func RecoverAsError(p any) error {
+	return &faultinject.RecoveredPanic{Value: p, Stack: debug.Stack()}
 }

@@ -1,19 +1,13 @@
 package sat
 
-// This file implements cube-and-conquer solving (Heule, Kullmann,
-// Wieringa, Biere; HVC 2011): split the search space into 2^d cubes —
-// all sign combinations of d chosen variables — and solve each cube
-// as an assumption vector on a work-stealing pool of CloneFormula
-// snapshots. The cubes jointly form a tautology over the split
-// variables, so the formula is satisfiable iff some cube is: the
-// first Sat wins and cancels the rest, while Unsat requires every
-// cube refuted.
+// This file implements the split step of cube-and-conquer solving
+// (Heule, Kullmann, Wieringa, Biere; HVC 2011): divide the search
+// space into 2^d cubes — all sign combinations of d chosen variables.
+// The cubes jointly form a tautology over the split variables, so the
+// formula is satisfiable iff some cube is. CheckFence solves the cubes
+// in separate processes (see core.CubeAssumptions and internal/fleet).
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sort"
 
 // CubeSplitter picks splitting variables for cube-and-conquer.
 type CubeSplitter struct {
@@ -110,146 +104,4 @@ func (cs CubeSplitter) Split(s *Solver) [][]Lit {
 		cubes[mask] = cube
 	}
 	return cubes
-}
-
-// CubeRun is the outcome of SolveCubes.
-type CubeRun struct {
-	Status Status
-	// Winner holds the model when Status is Sat. It is one of the
-	// cube clones (or base itself when no cubes were given); carry
-	// the model back with AdoptModelFrom if base must expose it.
-	Winner *Solver
-	// Cubes and Refuted count the cubes given and proven Unsat.
-	Cubes   int
-	Refuted int
-	// Work sums the search counters of all cube workers.
-	Work Stats
-	// Budget carries the typed budget exhaustion when Status is
-	// Unknown because some worker ran out of budget.
-	Budget *ErrBudget
-	// Err carries the first recovered worker panic (as a
-	// *faultinject.RecoveredPanic) when a worker crashed.
-	Err error
-}
-
-// SolveCubes solves base's formula as a partition over cubes on a
-// work-stealing pool of workers. Each worker owns one CloneFormula
-// snapshot, reused across the cubes it claims — clauses learned
-// refuting one cube are implied by the formula and so stay sound (and
-// useful) for the next. Every cube is solved under assumptions
-// followed by the cube's literals. The first Sat interrupts all other
-// workers and wins; Unsat requires every cube refuted; anything else
-// (interrupt, stop predicate, budget) yields Unknown. A worker that
-// panics (injected fault, genuine bug) records the recovered panic in
-// Err and stops claiming cubes instead of crashing the process.
-//
-// With no cubes, base is solved directly (serial fallback).
-func SolveCubes(base *Solver, cubes [][]Lit, workers int, assumptions ...Lit) CubeRun {
-	run := CubeRun{Cubes: len(cubes)}
-	if len(cubes) == 0 {
-		run.Status = base.Solve(assumptions...)
-		if run.Status == Sat {
-			run.Winner = base
-		} else if run.Status == Unknown {
-			run.Budget = base.BudgetErr()
-		}
-		return run
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cubes) {
-		workers = len(cubes)
-	}
-	// Clone serially: CloneFormula mutates the receiver (backtrack +
-	// propagate), so concurrent clones of one base would race.
-	clones := make([]*Solver, workers)
-	for i := range clones {
-		clones[i] = base.CloneFormula()
-	}
-	var (
-		next    atomic.Int64
-		refuted atomic.Int64
-		mu      sync.Mutex
-		winner  *Solver
-		panics  = make([]error, workers)
-		wg      sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, c *Solver) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[w] = RecoverAsError(p)
-				}
-			}()
-			var buf []Lit
-			for {
-				i := int(next.Add(1))
-				if i >= len(cubes) {
-					return
-				}
-				buf = append(append(buf[:0], assumptions...), cubes[i]...)
-				switch c.Solve(buf...) {
-				case Sat:
-					mu.Lock()
-					if winner == nil {
-						winner = c
-						for _, o := range clones {
-							if o != c {
-								o.Interrupt()
-							}
-						}
-					}
-					mu.Unlock()
-					return
-				case Unsat:
-					refuted.Add(1)
-				default:
-					// Interrupted or stopped: leave the remaining
-					// cubes unclaimed; the verdict degrades to
-					// Unknown unless another worker found Sat.
-					return
-				}
-			}
-		}(w, clones[w])
-	}
-	wg.Wait()
-	run.Refuted = int(refuted.Load())
-	for _, c := range clones {
-		st := c.Stats()
-		run.Work.Conflicts += st.Conflicts
-		run.Work.Decisions += st.Decisions
-		run.Work.Propagations += st.Propagations
-		run.Work.Restarts += st.Restarts
-		run.Work.Learnts += st.Learnts
-		run.Work.VivifiedClauses += st.VivifiedClauses
-		run.Work.VivifiedLits += st.VivifiedLits
-		run.Work.SubsumedLearnts += st.SubsumedLearnts
-		run.Work.ChronoBacktracks += st.ChronoBacktracks
-	}
-	switch {
-	case winner != nil:
-		run.Status = Sat
-		run.Winner = winner
-	case run.Refuted == len(cubes):
-		run.Status = Unsat
-	default:
-		run.Status = Unknown
-		for _, c := range clones {
-			if be := c.BudgetErr(); be != nil {
-				run.Budget = be
-				break
-			}
-		}
-	}
-	for _, p := range panics {
-		if p != nil {
-			run.Err = p
-			break
-		}
-	}
-	return run
 }

@@ -5,6 +5,48 @@ import (
 	"testing"
 )
 
+// plantedInstance adds a random 3-SAT instance with a planted
+// solution, returning the clauses (for model validation).
+func plantedInstance(s *Solver, numVars, numClauses int, seed int64) [][]Lit {
+	rng := rand.New(rand.NewSource(seed))
+	assignment := make([]bool, numVars)
+	for v := range assignment {
+		assignment[v] = rng.Intn(2) == 0
+	}
+	var clauses [][]Lit
+	for v := 0; v < numVars; v++ {
+		s.NewVar()
+	}
+	for i := 0; i < numClauses; i++ {
+		c := make([]Lit, 3)
+		for j := range c {
+			v := rng.Intn(numVars)
+			c[j] = MkLit(v, rng.Intn(2) == 0)
+		}
+		v := c[0].Var()
+		c[0] = MkLit(v, !assignment[v]) // true under the planted solution
+		clauses = append(clauses, c)
+		s.AddClause(c...)
+	}
+	return clauses
+}
+
+func modelSatisfies(t *testing.T, s *Solver, clauses [][]Lit) {
+	t.Helper()
+	for ci, c := range clauses {
+		ok := false
+		for _, l := range c {
+			if s.ValueLit(l) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			t.Fatalf("model does not satisfy clause %d", ci)
+		}
+	}
+}
+
 // addLearnt installs a learnt clause directly in the database, the way
 // record would, so the inprocessing primitives can be unit-tested
 // without driving a full search to manufacture the exact clause.

@@ -10,14 +10,13 @@
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
-// with phase saving, Luby restarts, and LBD-based learned-clause
-// database reduction.
+// with phase saving, Glucose-style LBD-driven restarts, and LBD-based
+// learned-clause database reduction.
 package sat
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"checkfence/internal/faultinject"
@@ -106,12 +105,6 @@ type clause struct {
 	activity float64
 	lbd      int
 
-	// shared marks a clause imported from another portfolio member;
-	// sharedUsed latches once it participates in a conflict, so
-	// SharedUseful counts each imported clause at most once.
-	shared     bool
-	sharedUsed bool
-
 	// Inprocessing state (see inprocess.go): the clause's tier in the
 	// learnt database, whether it took part in a conflict since the
 	// last reduction (resets there), and whether it has been logically
@@ -195,13 +188,6 @@ func (o *varOrder) pop() int {
 
 func (o *varOrder) empty() bool { return len(o.heap) == 0 }
 
-// rebuild re-heapifies after a bulk activity rewrite.
-func (o *varOrder) rebuild() {
-	for i := len(o.heap)/2 - 1; i >= 0; i-- {
-		o.down(i)
-	}
-}
-
 // Stats reports solver work counters. The Pre* and preprocessing
 // fields are zero unless Preprocess ran.
 type Stats struct {
@@ -220,14 +206,6 @@ type Stats struct {
 	ClausesSubsumed     int
 	ClausesStrengthened int
 	PreprocessTime      time.Duration
-
-	// Clause-sharing traffic (see SetShare): learnt clauses offered
-	// to the pool, foreign clauses attached after root simplification,
-	// and attached foreign clauses that later took part in a conflict
-	// (each counted once).
-	SharedExported int64
-	SharedImported int64
-	SharedUseful   int64
 
 	// Inprocessing counters (see inprocess.go); zero when the layer is
 	// off. VivifiedLits counts literals removed from VivifiedClauses
@@ -301,26 +279,9 @@ type Solver struct {
 	vivOut    []Lit
 	reduceTmp []*clause
 
-	// interrupted is the asynchronous stop flag set by Interrupt();
 	// stop is an optional external stop predicate (e.g. a context
-	// check). Both are polled in the solve loop.
-	interrupted atomic.Bool
-	stop        func() bool
-
-	// adopted, when non-nil, overlays a foreign model (from
-	// AdoptModelFrom) over Value/ValueLit; the next Solve discards it.
-	adopted []lbool
-
-	// Clause-sharing hooks (see SetShare). shareExport receives each
-	// learnt clause with LBD <= shareLBD; shareImport is drained at
-	// restart boundaries and, because easy formulas may never satisfy a
-	// restart policy at all, at a forced cadence of shareEvery conflicts
-	// (the solver hops to the root for the import, which is just an
-	// extra restart).
-	shareLBD    int
-	shareEvery  int64
-	shareExport func(lits []Lit, lbd int)
-	shareImport func(add func(lits []Lit, lbd int))
+	// check), polled in the solve loop.
+	stop func() bool
 
 	maxLearnts   float64
 	learntGrowth float64
@@ -329,8 +290,6 @@ type Solver struct {
 	// learnt-clause LBD, fast and slow.
 	lbdFast float64
 	lbdSlow float64
-
-	restartPolicy RestartPolicy
 
 	// Preprocessing state (see preprocess.go). frozen marks variables
 	// exempt from elimination; eliminated marks variables removed by
@@ -359,48 +318,6 @@ type preStats struct {
 	clausesSubsumed     int
 	clausesStrengthened int
 	preprocessTime      time.Duration
-}
-
-// RestartPolicy selects the solver's restart schedule.
-type RestartPolicy int
-
-// Restart policies. Glucose (LBD-driven) is the default; Luby is kept
-// for the ablation benchmark.
-const (
-	RestartGlucose RestartPolicy = iota
-	RestartLuby
-)
-
-// SetRestartPolicy selects the restart schedule (ablation knob).
-func (s *Solver) SetRestartPolicy(p RestartPolicy) { s.restartPolicy = p }
-
-// SetDefaultPhase sets the saved phase of every current variable, so
-// the first decision on a variable assigns it this polarity. The
-// default is false; inverting it is one of the portfolio
-// diversification axes. Call after the formula is built and before
-// Solve (phase saving overwrites it as search proceeds).
-func (s *Solver) SetDefaultPhase(polarity bool) {
-	for i := range s.phase {
-		s.phase[i] = polarity
-	}
-}
-
-// RandomizeActivity assigns each variable a small pseudo-random
-// initial VSIDS activity (deterministic in seed), permuting the
-// initial branching order without outweighing real conflict activity.
-// A second portfolio diversification axis.
-func (s *Solver) RandomizeActivity(seed int64) {
-	// xorshift64*; any nonzero state works.
-	x := uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	for v := range s.order.activity {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		// Scale into [0, 1e-3): far below the first conflict bump
-		// (varInc starts at 1.0), so it only breaks ties.
-		s.order.activity[v] = float64(x>>11) / float64(1<<53) * 1e-3
-	}
-	s.order.rebuild()
 }
 
 // New returns an empty solver. Inprocessing (see inprocess.go) is on
@@ -492,27 +409,11 @@ func (s *Solver) Stats() Stats {
 // (0 = unlimited). When exhausted, Solve returns Unknown.
 func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
 
-// Interrupt asynchronously stops the current (and any subsequent)
-// Solve, which returns Unknown at its next check point. It is safe to
-// call from another goroutine while Solve runs; the flag is sticky
-// until ClearInterrupt, so a multi-Solve procedure (mining, the
-// two-phase inclusion check) stops as a whole. All clauses learned
-// before the interruption remain attached and sound.
-func (s *Solver) Interrupt() { s.interrupted.Store(true) }
-
-// ClearInterrupt re-arms the solver after an Interrupt; following
-// Solve calls run normally.
-func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
-
-// Interrupted reports whether Interrupt has been called without a
-// matching ClearInterrupt.
-func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
-
-// SetStop installs an external stop predicate polled periodically in
-// the solve loop (every few hundred iterations, so it may be modestly
-// expensive, e.g. a context or deadline check). A true return makes
-// Solve return Unknown. nil removes the predicate. Unlike Interrupt,
-// the predicate is consulted fresh on every Solve.
+// SetStop installs an external stop predicate polled at Solve entry
+// and periodically in the solve loop (every few hundred iterations, so
+// it may be modestly expensive, e.g. a context or deadline check). A
+// true return makes Solve return Unknown; all clauses learned before
+// the stop remain attached and sound. nil removes the predicate.
 func (s *Solver) SetStop(stop func() bool) { s.stop = stop }
 
 func (s *Solver) value(l Lit) lbool {
@@ -721,10 +622,6 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	s.ante = s.ante[:0]
 	for {
 		s.bumpClause(confl)
-		if confl.shared && !confl.sharedUsed {
-			confl.sharedUsed = true
-			s.stats.SharedUseful++
-		}
 		if confl.learnt && s.inpro.on {
 			// Remember learnt antecedents for on-the-fly subsumption,
 			// mark them used (tier retention), and tighten their LBD —
@@ -884,10 +781,6 @@ func (s *Solver) record(lits []Lit) {
 	if len(lits) == 1 {
 		s.uncheckedEnqueue(lits[0], nil)
 		s.updateLBD(1)
-		if s.shareExport != nil {
-			s.stats.SharedExported++
-			s.shareExport([]Lit{lits[0]}, 1)
-		}
 		return
 	}
 	c := &clause{lits: lits, learnt: true, lbd: s.computeLBD(lits)}
@@ -898,13 +791,6 @@ func (s *Solver) record(lits []Lit) {
 	s.bumpClause(c)
 	s.uncheckedEnqueue(lits[0], c)
 	s.updateLBD(float64(c.lbd))
-	if s.shareExport != nil && c.lbd <= s.shareLBD {
-		// The clause owns (and reorders) lits; hand the pool a copy.
-		cp := make([]Lit, len(lits))
-		copy(cp, lits)
-		s.stats.SharedExported++
-		s.shareExport(cp, c.lbd)
-	}
 }
 
 // updateLBD maintains the fast/slow LBD moving averages driving the
@@ -964,29 +850,10 @@ func (s *Solver) detach(c *clause) {
 	}
 }
 
-// luby computes the Luby restart sequence value for index i (1-based):
-// 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... Kept as an alternative restart
-// schedule; the solver defaults to Glucose-style LBD-driven restarts.
-func luby(i int64) int64 {
-	x := i - 1
-	var size, seq int64 = 1, 0
-	for size < x+1 {
-		size = 2*size + 1
-		seq++
-	}
-	for size-1 != x {
-		size = (size - 1) >> 1
-		seq--
-		x %= size
-	}
-	return int64(1) << uint(seq)
-}
-
 // Solve searches for a model extending the given assumptions. It
-// returns Sat, Unsat, or Unknown (interrupted, stopped, or budget
-// exhausted — BudgetErr tells which).
+// returns Sat, Unsat, or Unknown (stopped or budget exhausted —
+// BudgetErr tells which).
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	s.adopted = nil
 	s.budgetErr = nil
 	if !s.ok {
 		return Unsat
@@ -995,7 +862,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// procedure (mining, the two-phase inclusion check) whose
 	// individual solves are too short to reach the periodic in-loop
 	// checkpoint still observes a cancellation raised between solves.
-	if s.interrupted.Load() || (s.stop != nil && s.stop()) {
+	if s.stop != nil && s.stop() {
 		return Unknown
 	}
 	var solveStart time.Time
@@ -1018,25 +885,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.ok = false
 		return Unsat
 	}
-	if !s.importShared() {
-		s.ok = false
-		return Unsat
-	}
 
 	conflicts := int64(0)
 	sinceRestart := int64(0)
-	sinceImport := int64(0)
-	lubyIdx := int64(1)
-	lubyLimit := luby(lubyIdx) * 100
 	var ticks int64
 
 	for {
-		// Interruption check points: the atomic flag every iteration
-		// (one load); the external predicate, the slow budget axes
-		// (deadline, propagations, memory), and the fault hooks every
-		// 128 iterations.
+		// Stop check points: the external predicate, the slow budget
+		// axes (deadline, propagations, memory), and the fault hooks
+		// every 128 iterations.
 		ticks++
-		if s.interrupted.Load() || (s.stop != nil && ticks&127 == 0 && s.stop()) {
+		if s.stop != nil && ticks&127 == 0 && s.stop() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -1051,7 +910,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if confl != nil {
 			conflicts++
 			sinceRestart++
-			sinceImport++
 			s.stats.Conflicts++
 			if s.decisionLevel() == 0 {
 				s.ok = false
@@ -1083,42 +941,16 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		// Restart check. Glucose-style: when recent learnt clauses
+		// Restart check, Glucose-style: when recent learnt clauses
 		// have markedly worse LBD than the long-run average, the
-		// search has drifted. Luby: fixed schedule.
-		restart := false
-		switch s.restartPolicy {
-		case RestartLuby:
-			restart = sinceRestart >= lubyLimit
-			if restart {
-				lubyIdx++
-				lubyLimit = luby(lubyIdx) * 100
-			}
-		default:
-			restart = sinceRestart >= 100 && s.lbdFast > 1.25*s.lbdSlow
-		}
-		if !restart && s.shareImport != nil && s.shareEvery > 0 && sinceImport >= s.shareEvery {
-			// Forced import cadence: the restart policies can go whole
-			// short solves without firing (glucose needs drifting LBDs,
-			// Luby needs 100+ conflicts), which used to starve portfolio
-			// members of their peers' exports entirely. An import needs
-			// the trail at the root, so this is simply an extra restart.
-			restart = true
-		}
-		if restart {
+		// search has drifted.
+		if sinceRestart >= 100 && s.lbdFast > 1.25*s.lbdSlow {
 			sinceRestart = 0
-			sinceImport = 0
 			s.stats.Restarts++
 			s.cancelUntil(0)
-			// Restart boundaries are the import points of clause
-			// sharing: the trail is at the root, so foreign clauses
-			// can be simplified and attached safely.
-			if !s.importShared() {
-				s.ok = false
-				return Unsat
-			}
-			// They are also the vivification points: distillation
-			// probes on a scratch decision level above the root.
+			// Restart boundaries are the vivification points:
+			// distillation probes on a scratch decision level above
+			// the root.
 			if s.inpro.on && s.stats.Conflicts-s.inpro.lastVivify >= s.inpro.vivifyInterval {
 				s.inpro.lastVivify = s.stats.Conflicts
 				if !s.vivify() {
@@ -1180,12 +1012,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 // Value returns the model value of variable v after a Sat result.
 // Values of eliminated variables are reconstructed by model
-// extension. When a foreign model has been adopted (AdoptModelFrom),
-// it is reported instead until the next Solve.
+// extension.
 func (s *Solver) Value(v int) bool {
-	if s.adopted != nil {
-		return s.adopted[v] == lTrue
-	}
 	if s.eliminated[v] {
 		return s.extVals[v] == lTrue
 	}
@@ -1198,4 +1026,13 @@ func (s *Solver) ValueLit(l Lit) bool {
 		return !s.Value(l.Var())
 	}
 	return s.Value(l.Var())
+}
+
+// FixedAtRoot reports whether the variable is assigned at the root
+// decision level — its value is forced by the formula alone (unit
+// clauses and their propagation), independent of search decisions or
+// assumptions. Blocking-clause shrinking drops such bits: no model
+// can differ there.
+func (s *Solver) FixedAtRoot(v int) bool {
+	return s.assigns[v] != lUndef && s.levels[v] == 0
 }

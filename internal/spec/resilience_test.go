@@ -17,21 +17,19 @@ import (
 // return the observations mined so far alongside ErrMineLimit, not
 // discard them — the partial set seeds a later resume.
 func TestMineLimitReturnsPartialSet(t *testing.T) {
-	for _, cube := range []int{0, 4} {
-		e, entries := buildWideMiningEncoder(t)
-		set, stats, err := MineWith(e, entries, Strategy{Cube: cube, MaxMineIterations: 5})
-		if !errors.Is(err, ErrMineLimit) {
-			t.Fatalf("cube=%d: err = %v, want ErrMineLimit", cube, err)
-		}
-		if set == nil || set.Len() == 0 {
-			t.Fatalf("cube=%d: partial set = %v, want the mined observations", cube, set)
-		}
-		if set.Len() > 15 {
-			t.Errorf("cube=%d: partial set has %d observations, more than exist", cube, set.Len())
-		}
-		if stats.Iterations == 0 {
-			t.Errorf("cube=%d: stats.Iterations = 0, want the spent count", cube)
-		}
+	e, entries := buildWideMiningEncoder(t)
+	set, stats, err := MineWith(e, entries, Strategy{MaxMineIterations: 5})
+	if !errors.Is(err, ErrMineLimit) {
+		t.Fatalf("err = %v, want ErrMineLimit", err)
+	}
+	if set == nil || set.Len() == 0 {
+		t.Fatalf("partial set = %v, want the mined observations", set)
+	}
+	if set.Len() > 15 {
+		t.Errorf("partial set has %d observations, more than exist", set.Len())
+	}
+	if stats.Iterations == 0 {
+		t.Error("stats.Iterations = 0, want the spent count")
 	}
 }
 
@@ -40,71 +38,64 @@ func TestMineLimitReturnsPartialSet(t *testing.T) {
 // counts are cumulative across the two runs.
 func TestMineResumeEqualsFull(t *testing.T) {
 	eFull, entries := buildWideMiningEncoder(t)
-	full, fullStats, err := MineWith(eFull, entries, Strategy{})
+	full, _, err := MineWith(eFull, entries, Strategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, cube := range []int{0, 4} {
-		ePart, entriesPart := buildWideMiningEncoder(t)
-		partial, partStats, err := MineWith(ePart, entriesPart, Strategy{Cube: cube, MaxMineIterations: 5})
-		if !errors.Is(err, ErrMineLimit) {
-			t.Fatalf("cube=%d: err = %v, want ErrMineLimit", cube, err)
-		}
+	ePart, entriesPart := buildWideMiningEncoder(t)
+	partial, partStats, err := MineWith(ePart, entriesPart, Strategy{MaxMineIterations: 5})
+	if !errors.Is(err, ErrMineLimit) {
+		t.Fatalf("err = %v, want ErrMineLimit", err)
+	}
 
-		eRes, entriesRes := buildWideMiningEncoder(t)
-		resumed, resStats, err := MineWith(eRes, entriesRes, Strategy{
-			Cube:             cube,
-			Resume:           partial,
-			ResumeIterations: partStats.Iterations,
-		})
-		if err != nil {
-			t.Fatalf("cube=%d: resume failed: %v", cube, err)
-		}
-		if !resumed.Equal(full) {
-			t.Errorf("cube=%d: resumed set differs from full mine:\n  full    %v\n  resumed %v",
-				cube, full.All(), resumed.All())
-		}
-		if resStats.Iterations < partStats.Iterations {
-			t.Errorf("cube=%d: cumulative iterations %d < checkpointed %d",
-				cube, resStats.Iterations, partStats.Iterations)
-		}
-		_ = fullStats
+	eRes, entriesRes := buildWideMiningEncoder(t)
+	resumed, resStats, err := MineWith(eRes, entriesRes, Strategy{
+		Resume:           partial,
+		ResumeIterations: partStats.Iterations,
+	})
+	if err != nil {
+		t.Fatalf("resume failed: %v", err)
+	}
+	if !resumed.Equal(full) {
+		t.Errorf("resumed set differs from full mine:\n  full    %v\n  resumed %v",
+			full.All(), resumed.All())
+	}
+	if resStats.Iterations < partStats.Iterations {
+		t.Errorf("cumulative iterations %d < checkpointed %d",
+			resStats.Iterations, partStats.Iterations)
 	}
 }
 
 // TestMineCheckpointCallback: the Checkpoint hook fires on the
 // configured period with a growing partial set and cumulative counts.
 func TestMineCheckpointCallback(t *testing.T) {
-	for _, cube := range []int{0, 2} {
-		e, entries := buildWideMiningEncoder(t)
-		var calls []int
-		var lastLen int
-		set, stats, err := MineWith(e, entries, Strategy{
-			Cube:            cube,
-			CheckpointEvery: 4,
-			Checkpoint: func(partial *Set, iterations int) {
-				calls = append(calls, iterations)
-				if partial.Len() < lastLen {
-					t.Errorf("cube=%d: checkpoint set shrank from %d to %d", cube, lastLen, partial.Len())
-				}
-				lastLen = partial.Len()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(calls) == 0 {
-			t.Fatalf("cube=%d: checkpoint hook never fired over %d iterations", cube, stats.Iterations)
-		}
-		for _, n := range calls {
-			if n%4 != 0 {
-				t.Errorf("cube=%d: checkpoint at iteration %d, want multiples of 4", cube, n)
+	e, entries := buildWideMiningEncoder(t)
+	var calls []int
+	var lastLen int
+	set, stats, err := MineWith(e, entries, Strategy{
+		CheckpointEvery: 4,
+		Checkpoint: func(partial *Set, iterations int) {
+			calls = append(calls, iterations)
+			if partial.Len() < lastLen {
+				t.Errorf("checkpoint set shrank from %d to %d", lastLen, partial.Len())
 			}
+			lastLen = partial.Len()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) == 0 {
+		t.Fatalf("checkpoint hook never fired over %d iterations", stats.Iterations)
+	}
+	for _, n := range calls {
+		if n%4 != 0 {
+			t.Errorf("checkpoint at iteration %d, want multiples of 4", n)
 		}
-		if lastLen > set.Len() {
-			t.Errorf("cube=%d: last checkpoint had %d observations, final set %d", cube, lastLen, set.Len())
-		}
+	}
+	if lastLen > set.Len() {
+		t.Errorf("last checkpoint had %d observations, final set %d", lastLen, set.Len())
 	}
 }
 
@@ -166,43 +157,37 @@ func waitGoroutines(t *testing.T, baseline int) {
 
 // TestMineCancelMidEnumeration: cancelling via the solver's stop
 // predicate in the middle of the enumeration returns promptly with the
-// partial set and an ErrSolverUnknown (not a budget error), leaks no
-// worker goroutines, and leaves the solver reusable.
+// partial set and an ErrSolverUnknown (not a budget error) and leaves
+// the solver reusable.
 func TestMineCancelMidEnumeration(t *testing.T) {
-	for _, cube := range []int{0, 4} {
-		baseline := runtime.NumGoroutine()
-		e, entries := buildWideMiningEncoder(t)
-		var stop atomic.Bool
-		e.S.SetStop(func() bool { return stop.Load() })
-		set, _, err := MineWith(e, entries, Strategy{
-			Cube:            cube,
-			CheckpointEvery: 2,
-			// Trip the cancellation from inside the enumeration, after
-			// some observations exist — deterministic mid-mine cancel.
-			Checkpoint: func(partial *Set, iterations int) { stop.Store(true) },
-		})
-		if !errors.Is(err, ErrSolverUnknown) {
-			t.Fatalf("cube=%d: err = %v, want ErrSolverUnknown", cube, err)
-		}
-		if errors.Is(err, sat.ErrBudgetExhausted) {
-			t.Errorf("cube=%d: cancellation reported as budget exhaustion: %v", cube, err)
-		}
-		if set == nil || set.Len() == 0 {
-			t.Errorf("cube=%d: cancelled mine returned no partial set", cube)
-		}
-		waitGoroutines(t, baseline)
+	e, entries := buildWideMiningEncoder(t)
+	var stop atomic.Bool
+	e.S.SetStop(func() bool { return stop.Load() })
+	set, _, err := MineWith(e, entries, Strategy{
+		CheckpointEvery: 2,
+		// Trip the cancellation from inside the enumeration, after
+		// some observations exist — deterministic mid-mine cancel.
+		Checkpoint: func(partial *Set, iterations int) { stop.Store(true) },
+	})
+	if !errors.Is(err, ErrSolverUnknown) {
+		t.Fatalf("err = %v, want ErrSolverUnknown", err)
+	}
+	if errors.Is(err, sat.ErrBudgetExhausted) {
+		t.Errorf("cancellation reported as budget exhaustion: %v", err)
+	}
+	if set == nil || set.Len() == 0 {
+		t.Error("cancelled mine returned no partial set")
+	}
 
-		// The solver must stay reusable once the stop is lifted.
-		e.S.SetStop(nil)
-		if st := e.S.Solve(); st == sat.Unknown {
-			t.Errorf("cube=%d: solver unusable after cancellation (status %v)", cube, st)
-		}
+	// The solver must stay reusable once the stop is lifted.
+	e.S.SetStop(nil)
+	if st := e.S.Solve(); st == sat.Unknown {
+		t.Errorf("solver unusable after cancellation (status %v)", st)
 	}
 }
 
-// TestInclusionCancelMidSolve: interrupting the cube-and-conquer
-// phase-2 solve returns a wrapped ErrSolverUnknown promptly and leaks
-// no goroutines.
+// TestInclusionCancelMidSolve: stopping the phase-2 solve returns a
+// wrapped ErrSolverUnknown promptly and leaks no goroutines.
 func TestInclusionCancelMidSolve(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e, entries := buildWideMiningEncoder(t)
@@ -210,7 +195,7 @@ func TestInclusionCancelMidSolve(t *testing.T) {
 	e.S.SetStop(func() bool { return calls.Add(1) > 1 })
 	empty := NewSet() // empty spec: phase 2 would be Sat if it ran to completion
 	start := time.Now()
-	_, err := CheckInclusionWith(e, entries, empty, Strategy{Cube: 4})
+	_, err := CheckInclusionWith(e, entries, empty, Strategy{})
 	if !errors.Is(err, ErrSolverUnknown) {
 		t.Fatalf("err = %v, want ErrSolverUnknown", err)
 	}

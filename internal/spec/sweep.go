@@ -69,14 +69,14 @@ func (c *SweepCheck) Encoder() *encode.Encoder { return c.e }
 // model for trace extraction. Panics if called after BeginInclusion —
 // the error literal is permanently false by then, so the answer would
 // be a silent, unsound Unsat.
-func (c *SweepCheck) ErrorCheck(m memmodel.Model, strat Strategy) (*Counterexample, error) {
+func (c *SweepCheck) ErrorCheck(m memmodel.Model) (*Counterexample, error) {
 	if c.began {
 		panic("spec: SweepCheck.ErrorCheck after BeginInclusion")
 	}
 	assum := append(c.e.SelectorLits(m), c.errLit)
-	switch st, cause := solveOne(c.e, strat, assum...); st {
+	switch st, cause := solve(c.e, assum...); st {
 	case sat.Sat:
-		obs := decodeObs(c.e, c.e.S, c.svs)
+		obs := decodeObs(c.e, c.svs)
 		msg := ""
 		for _, ec := range c.e.Errors {
 			if c.e.B.Eval(ec.Cond) {
@@ -116,15 +116,15 @@ func (c *SweepCheck) BeginInclusion(set *Set) error {
 // execution with an out-of-spec observation possible under m's axioms?
 // A nil counterexample means model m passes the inclusion check. On
 // Sat the solver is positioned at the counterexample model.
-func (c *SweepCheck) Inclusion(m memmodel.Model, strat Strategy) (*Counterexample, error) {
+func (c *SweepCheck) Inclusion(m memmodel.Model) (*Counterexample, error) {
 	if !c.began {
 		panic("spec: SweepCheck.Inclusion before BeginInclusion")
 	}
-	switch st, cause := solvePhase2(c.e, strat, c.e.SelectorLits(m)...); st {
+	switch st, cause := solve(c.e, c.e.SelectorLits(m)...); st {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Sat:
-		return &Counterexample{Obs: decodeObs(c.e, c.e.S, c.svs)}, nil
+		return &Counterexample{Obs: decodeObs(c.e, c.svs)}, nil
 	default:
 		return nil, unknownErr("inclusion check", st, cause)
 	}

@@ -116,27 +116,24 @@ func TestSeededMiningMonotonic(t *testing.T) {
 		t.Fatal("serial and relaxed observation sets coincide; shape too weak for the test")
 	}
 	for i := 1; i < len(models); i++ {
-		for _, cube := range []int{0, 2} {
-			seeded, st := mineModel(t, models[i], Strategy{Seed: sets[i-1], Cube: cube})
-			if !seeded.Equal(sets[i]) {
-				t.Errorf("cube=%d %v seeded by %v: set differs from unseeded:\n  want %v\n  got  %v",
-					cube, models[i], models[i-1], sets[i].All(), seeded.All())
-			}
-			if st.Seeded != sets[i-1].Len() {
-				t.Errorf("cube=%d %v: Seeded = %d, want %d", cube, models[i], st.Seeded, sets[i-1].Len())
-			}
-			if want := iters[i] - sets[i-1].Len(); st.Iterations != want {
-				t.Errorf("cube=%d %v: iterations = %d, want %d (unseeded %d - seed %d)",
-					cube, models[i], st.Iterations, want, iters[i], sets[i-1].Len())
-			}
+		seeded, st := mineModel(t, models[i], Strategy{Seed: sets[i-1]})
+		if !seeded.Equal(sets[i]) {
+			t.Errorf("%v seeded by %v: set differs from unseeded:\n  want %v\n  got  %v",
+				models[i], models[i-1], sets[i].All(), seeded.All())
+		}
+		if st.Seeded != sets[i-1].Len() {
+			t.Errorf("%v: Seeded = %d, want %d", models[i], st.Seeded, sets[i-1].Len())
+		}
+		if want := iters[i] - sets[i-1].Len(); st.Iterations != want {
+			t.Errorf("%v: iterations = %d, want %d (unseeded %d - seed %d)",
+				models[i], st.Iterations, want, iters[i], sets[i-1].Len())
 		}
 	}
 }
 
 // TestSweepCheckMatchesIndependent: the shared-formula SweepCheck must
 // reproduce the single-model CheckInclusionWith verdicts and
-// counterexample observations exactly, across serial, portfolio, and
-// cube strategies.
+// counterexample observations exactly.
 func TestSweepCheckMatchesIndependent(t *testing.T) {
 	sweep := []memmodel.Model{
 		memmodel.SequentialConsistency, memmodel.TSO,
@@ -144,43 +141,37 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 	}
 	// The spec is the serial observation set, as in the real pipeline.
 	specSet, _ := mineModel(t, memmodel.Serial, Strategy{})
-	for _, strat := range []Strategy{
-		{},
-		{Portfolio: 2, ShareClauses: true},
-		{Cube: 2},
-	} {
-		sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
+	sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Phase 1 for every model, strongest-first, before any exclusion.
+	for _, m := range sweep {
+		cex, err := sc.ErrorCheck(m)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v error check: %v", m, err)
 		}
-		// Phase 1 for every model, strongest-first, before any exclusion.
-		for _, m := range sweep {
-			cex, err := sc.ErrorCheck(m, strat)
-			if err != nil {
-				t.Fatalf("%v error check: %v", m, err)
-			}
-			if cex != nil {
-				t.Fatalf("%v: unexpected error-phase counterexample %v", m, cex.Obs)
-			}
+		if cex != nil {
+			t.Fatalf("%v: unexpected error-phase counterexample %v", m, cex.Obs)
 		}
-		if err := sc.BeginInclusion(specSet); err != nil {
-			t.Fatal(err)
+	}
+	if err := sc.BeginInclusion(specSet); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range sweep {
+		got, err := sc.Inclusion(m)
+		if err != nil {
+			t.Fatalf("%v inclusion: %v", m, err)
 		}
-		for _, m := range sweep {
-			got, err := sc.Inclusion(m, strat)
-			if err != nil {
-				t.Fatalf("%v inclusion: %v", m, err)
-			}
-			want, err := CheckInclusionWith(encodeMP(t, m), mpEntries(), specSet, strat)
-			if err != nil {
-				t.Fatalf("%v independent: %v", m, err)
-			}
-			if (got == nil) != (want == nil) {
-				t.Fatalf("strat=%+v %v: sweep cex %v, independent cex %v", strat, m, got, want)
-			}
-			if got != nil && specSet.Has(got.Obs) {
-				t.Fatalf("strat=%+v %v: sweep counterexample %v is inside the spec", strat, m, got.Obs)
-			}
+		want, err := CheckInclusionWith(encodeMP(t, m), mpEntries(), specSet, Strategy{})
+		if err != nil {
+			t.Fatalf("%v independent: %v", m, err)
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%v: sweep cex %v, independent cex %v", m, got, want)
+		}
+		if got != nil && specSet.Has(got.Obs) {
+			t.Fatalf("%v: sweep counterexample %v is inside the spec", m, got.Obs)
 		}
 	}
 }
@@ -201,7 +192,7 @@ func TestSweepCheckProtocol(t *testing.T) {
 				t.Error("Inclusion before BeginInclusion did not panic")
 			}
 		}()
-		sc.Inclusion(memmodel.Relaxed, Strategy{})
+		sc.Inclusion(memmodel.Relaxed)
 	}()
 	if err := sc.BeginInclusion(NewSet()); err != nil {
 		t.Fatal(err)
@@ -214,5 +205,5 @@ func TestSweepCheckProtocol(t *testing.T) {
 			t.Error("ErrorCheck after BeginInclusion did not panic")
 		}
 	}()
-	sc.ErrorCheck(memmodel.Relaxed, Strategy{})
+	sc.ErrorCheck(memmodel.Relaxed)
 }

@@ -6,7 +6,8 @@ package checkfence_test
 // counterexample traces that the independent validator accepted —
 // the sweep is a pure performance transformation. The matrix covers a
 // passing and a failing implementation under all five models, plus
-// portfolio and cube solver strategies on the grouped jobs.
+// preprocessing-off and inprocessing-off solver configurations on the
+// grouped jobs.
 
 import (
 	"testing"
@@ -84,10 +85,11 @@ func TestSweepAblation(t *testing.T) {
 	runSweepAblation(t, sweepAblationJobs(checkfence.Options{}), 4)
 }
 
-// TestSweepAblationStrategies re-runs the ablation with the parallel
-// solver strategies the sweep shares across its assumption solves:
-// a clause-sharing portfolio and cube-and-conquer splitting (whose
-// splitter must avoid branching on the frozen selector variables).
+// TestSweepAblationStrategies re-runs the ablation with the solver
+// configurations the sweep shares across its assumption solves: CNF
+// preprocessing off (the shared formula is solved as encoded) and
+// inprocessing off (the learnt database the models share is managed
+// without vivification, subsumption or tiers).
 func TestSweepAblationStrategies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("strategy matrix is slow under -short")
@@ -96,8 +98,8 @@ func TestSweepAblationStrategies(t *testing.T) {
 		name string
 		opts checkfence.Options
 	}{
-		{"portfolio", checkfence.Options{Portfolio: 2, ShareClauses: true}},
-		{"cube", checkfence.Options{Cube: 2}},
+		{"no-preprocess", checkfence.Options{NoPreprocess: true}},
+		{"no-inprocess", checkfence.Options{NoInprocess: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			models := []checkfence.Model{
