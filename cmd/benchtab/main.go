@@ -14,8 +14,6 @@
 //	benchtab -fig solve        solver inprocessing: on vs off (writes BENCH_solve.json)
 //	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced (writes BENCH_backend.json)
 //	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks (writes BENCH_sweep.json)
-//	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite (writes BENCH_daemon.json)
-//	benchtab -fig fleet        distributed fan-out: serial vs 1 vs 3 fleet workers (writes BENCH_fleet.json)
 //
 // Absolute times differ from the paper's 2007 testbed; the shapes
 // (growth trends, ratios, who wins) are the reproduction target. Use
@@ -43,8 +41,6 @@ func main() {
 		slvJSON = flag.String("solve-json", "BENCH_solve.json", "artifact path for -fig solve (\"\" = print only)")
 		bakJSON = flag.String("backend-json", "BENCH_backend.json", "artifact path for -fig backend (\"\" = print only)")
 		swpJSON = flag.String("sweep-json", "BENCH_sweep.json", "artifact path for -fig sweep (\"\" = print only)")
-		dmnJSON = flag.String("daemon-json", "BENCH_daemon.json", "artifact path for -fig daemon (\"\" = print only)")
-		fltJSON = flag.String("fleet-json", "BENCH_fleet.json", "artifact path for -fig fleet (\"\" = print only)")
 	)
 	flag.Parse()
 
@@ -77,10 +73,6 @@ func main() {
 		err = r.BackendReport(*bakJSON)
 	case *fig == "sweep":
 		err = r.SweepReport(*swpJSON)
-	case *fig == "daemon":
-		err = r.DaemonReport(*dmnJSON)
-	case *fig == "fleet":
-		err = r.FleetReport(*fltJSON)
 	default:
 		flag.Usage()
 		os.Exit(2)

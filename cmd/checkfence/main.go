@@ -159,30 +159,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitError
 	}
 
-	if *remote != "" {
-		opts := core.Options{
-			Model:                models[0],
-			Backend:              be,
-			DisableRangeAnalysis: *noRanges,
-			MaxMineIterations:    *maxMine,
-			SimplifyLevel:        *simplify,
-			NoPreprocess:         *noPreproc,
-			NoInprocess:          !*inproc,
-			NoOrderReduce:        !*ordReduce,
-			ConflictBudget:       *conflicts,
-			MemBudgetMB:          *memMB,
-		}
-		if !*validate {
-			opts.ValidateTraces = core.ValidateOff
-		}
-		if *specSrc == "refset" {
-			opts.SpecSource = core.SpecRef
-		}
-		return runRemote(*remote, *implName, *testName, models, opts, *timeout, *stats, stdout, stderr)
-	}
-
-	suite := make([]core.Job, len(models))
-	for i, model := range models {
+	// checkOpts maps the flags onto one check's options. Remote runs
+	// leave Deadline unset: runRemote sends -timeout as the wire
+	// timeout.
+	checkOpts := func(model memmodel.Model, deadline time.Duration) core.Options {
 		opts := core.Options{
 			Model:                model,
 			Backend:              be,
@@ -192,17 +172,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			NoPreprocess:         *noPreproc,
 			NoInprocess:          !*inproc,
 			NoOrderReduce:        !*ordReduce,
-			Deadline:             *timeout,
+			NoValidate:           !*validate,
+			Deadline:             deadline,
 			ConflictBudget:       *conflicts,
 			MemBudgetMB:          *memMB,
-		}
-		if !*validate {
-			opts.ValidateTraces = core.ValidateOff
 		}
 		if *specSrc == "refset" {
 			opts.SpecSource = core.SpecRef
 		}
-		suite[i] = core.Job{Impl: *implName, Test: *testName, Opts: opts}
+		return opts
+	}
+	if *remote != "" {
+		return runRemote(*remote, *implName, *testName, models, checkOpts(models[0], 0),
+			*timeout, *stats, stdout, stderr)
+	}
+
+	suite := make([]core.Job, len(models))
+	for i, model := range models {
+		suite[i] = core.Job{Impl: *implName, Test: *testName, Opts: checkOpts(model, *timeout)}
 	}
 
 	results := core.RunSuite(suite, core.SuiteOptions{

@@ -117,11 +117,12 @@ func routeRF(opts Options, unrolled *harness.Unrolled) routeDecision {
 }
 
 // runCheckRF performs mining and the inclusion check on the reads-from
-// engine, mirroring the SAT path's contract: done=true when a
-// counterexample was found. Fragment programs cannot reach runtime
-// errors, so the sequential-bug phase is vacuous here.
+// engine, mirroring the SAT path's contract: it returns the validated
+// counterexample, or nil when the check passed at these bounds.
+// Fragment programs cannot reach runtime errors, so the sequential-bug
+// phase is vacuous here.
 func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
-	p *rf.Program, opts Options) (bool, error) {
+	p *rf.Program, opts Options) (*trace.Trace, error) {
 
 	var est rf.EnumStats
 	defer func() {
@@ -138,7 +139,7 @@ func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 		set, st, err := p.Observations(memmodel.Serial, built.Entries, budget)
 		est.Add(st)
 		if err != nil {
-			return false, fmt.Errorf("rf mining: %w", err)
+			return nil, fmt.Errorf("rf mining: %w", err)
 		}
 		theSpec = set
 	}
@@ -152,18 +153,14 @@ func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 	est.Add(st)
 	res.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
-		return false, fmt.Errorf("rf inclusion: %w", err)
+		return nil, fmt.Errorf("rf inclusion: %w", err)
 	}
-	if cex == nil {
-		res.Pass = true
-		return false, nil // passed at these bounds; caller probes
+	if cex != nil {
+		if err := validateCex(cex, built, unrolled, opts); err != nil {
+			return nil, err
+		}
 	}
-	res.Pass = false
-	res.Cex = cex
-	if err := validateCex(cex, built, unrolled, opts); err != nil {
-		return false, err
-	}
-	return true, nil
+	return cex, nil
 }
 
 // rfFallbackable reports whether an rf failure may silently fall back

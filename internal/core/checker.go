@@ -22,20 +22,6 @@ import (
 	"checkfence/internal/validate"
 )
 
-// ValidateMode controls independent counterexample validation.
-type ValidateMode int
-
-const (
-	// ValidateDefault enables validation (the zero value: traces are
-	// re-checked unless explicitly disabled).
-	ValidateDefault ValidateMode = iota
-	// ValidateOff skips validation.
-	ValidateOff
-	// ValidateOn forces validation (same as the default; exists so
-	// callers can be explicit).
-	ValidateOn
-)
-
 // SpecSource selects how the observation set is obtained.
 type SpecSource int
 
@@ -110,13 +96,12 @@ type Options struct {
 	// reduction (constant-fixing of forced order variables, merging of
 	// interchangeable pairs, skeleton-only transitivity).
 	NoOrderReduce bool
-	// ValidateTraces controls the independent re-validation of every
-	// decoded counterexample (internal/validate): the memory-model
-	// axioms are re-checked over the concrete event list and each
-	// thread is replayed through the reference interpreter. On by
-	// default; a validation failure is a hard internal error, never a
-	// verdict.
-	ValidateTraces ValidateMode
+	// NoValidate skips the independent re-validation of every decoded
+	// counterexample (internal/validate), which otherwise re-checks the
+	// memory-model axioms over the concrete event list and replays each
+	// thread through the reference interpreter. A validation failure is
+	// a hard internal error, never a verdict.
+	NoValidate bool
 	// Deadline bounds the wall-clock time of the whole check, across
 	// every ladder rung (0 = none). A check that exhausts it returns
 	// VerdictUnknown with a BudgetReport rather than an error.
@@ -356,9 +341,6 @@ func Check(implName, testName string, opts Options) (*Result, error) {
 // BudgetReport, not an error.
 func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, error) {
 	start := time.Now()
-	if opts.MaxBoundRounds <= 0 {
-		opts.MaxBoundRounds = 12
-	}
 	var deadline time.Time
 	if opts.Deadline > 0 {
 		deadline = time.Now().Add(opts.Deadline)
@@ -369,8 +351,10 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 			break // no wall-clock left to retry with
 		}
 		attemptStart := time.Now()
-		res, err := checkAttempt(impl, test, rung.apply(opts), deadline)
+		out := map[memmodel.Model]*Result{}
+		err := checkModels(impl, test, []memmodel.Model{opts.Model}, rung.apply(opts), deadline, out)
 		if err == nil {
+			res := out[opts.Model]
 			if len(reports) > 0 {
 				// The verdict came from a degraded rung; record the
 				// path that led there.
@@ -392,221 +376,350 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 	return res, nil
 }
 
-// checkAttempt runs one full pipeline pass (unroll, probe bounds,
-// mine, inclusion check) under a single ladder rung's strategy.
-func checkAttempt(impl *harness.Impl, test *harness.Test, opts Options,
-	deadline time.Time) (res *Result, err error) {
+// pipeline is the state of one checkModels pass.
+type pipeline struct {
+	impl     *harness.Impl
+	test     *harness.Test
+	models   []memmodel.Model
+	opts     Options
+	deadline time.Time
+	// results holds one result per model, accumulating across bound
+	// rounds; out receives each as soon as its model is decided.
+	results map[memmodel.Model]*Result
+	out     map[memmodel.Model]*Result
 
+	built    *harness.Built
+	unrolled *harness.Unrolled
+	info     *ranges.Info
+	bounds   map[string]int
+}
+
+// checkModels runs the driver loop of Fig. 3 once, under one ladder
+// rung's strategy, for models (strongest first) at shared bounds. Each
+// model's result goes into out as soon as the model is decided, so
+// when a later phase fails, out keeps the verdicts reached before it.
+//
+// Lazy loop unrolling follows §3.3: the models are checked at the
+// initial bounds first, and a model that fails there is decided — the
+// loop bounds are irrelevant to a counterexample. Then the bounds are
+// probed and grown until the probe is refuted, and the undecided models
+// are checked once more at the converged bounds (intermediate bound
+// levels only add executions, which the final check covers).
+//
+// One model is checked on a plain encoder, with Options.Assume and rf
+// routing honoured. Several are checked on one selector-guarded sweep
+// encoder, solved per model under assumptions; when the router picks
+// the reads-from engine instead, there is no SAT work to share and
+// errSweepFallback is returned. Shared costs land on one result:
+// probing on models[0], mining, encoding, preprocessing and solver
+// counters on the round's leader (the strongest model it checks).
+func checkModels(impl *harness.Impl, test *harness.Test, models []memmodel.Model,
+	opts Options, deadline time.Time, out map[memmodel.Model]*Result) error {
+
+	if opts.MaxBoundRounds <= 0 {
+		opts.MaxBoundRounds = 12
+	}
+	p := &pipeline{impl: impl, test: test, models: models, opts: opts, deadline: deadline,
+		results: make(map[memmodel.Model]*Result, len(models)), out: out}
+	for _, m := range models {
+		p.results[m] = &Result{Impl: impl.Name, Test: test.Name, Model: m}
+	}
 	start := time.Now()
-	res = &Result{Impl: impl.Name, Test: test.Name, Model: opts.Model}
-	defer func() {
-		if res == nil {
-			return // error paths return a nil result
-		}
-		if err == nil {
-			if res.Pass {
-				res.Verdict = VerdictPass
-			} else {
-				res.Verdict = VerdictFail
-			}
-		}
-	}()
-	// TotalTime is set here, once, so every return path (early
-	// counterexample, bounds-already-sufficient, converged re-check)
-	// reports it consistently.
-	defer func() {
-		if res != nil {
-			res.Stats.TotalTime = time.Since(start)
-		}
-	}()
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	defer func() {
-		if res == nil {
-			return
+		// The models were decided together, so every result reports the
+		// pass's wall-clock time; its heap growth lands on models[0]
+		// with the other shared costs.
+		wall := time.Since(start)
+		for _, r := range out {
+			r.Stats.TotalTime = wall
 		}
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		res.Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
+		p.results[models[0]].Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
 	}()
 
-	built, err := opts.buildHarness(impl, test)
-	if err != nil {
-		return nil, err
+	var err error
+	if p.built, err = opts.buildHarness(impl, test); err != nil {
+		return err
 	}
-
-	// Lazy loop unrolling, in the paper's §3.3 order: run the regular
-	// check restricted to the current bounds first. If it finds a
-	// counterexample, report it — the loop bounds are irrelevant in
-	// that case. Only if the check passes, probe for executions that
-	// exceed the bounds; bounds grow until the probe is refuted, and
-	// the full check then runs once more at the converged bounds
-	// (intermediate bound levels need no full check: they only add
-	// executions, which the final check covers).
-	bounds := map[string]int{}
+	p.bounds = map[string]int{}
 	for k, v := range opts.InitialBounds {
-		bounds[k] = v
+		p.bounds[k] = v
 	}
-	unrolled, err := opts.unrollHarness(built, bounds)
-	if err != nil {
-		return nil, err
+	if err := p.unroll(); err != nil {
+		return err
 	}
-	info := analysisFor(unrolled, opts)
-	res.Stats.BoundRounds = 1
-	done, err := runCheck(res, impl, test, built, unrolled, info, bounds, opts, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return res, nil
+	pending, err := p.round(models, 1)
+	if err != nil || len(pending) == 0 {
+		return err
 	}
 
-	grewAny := false
+	// Bound probing runs under probeModel, which maps every non-Serial
+	// model to SC, so one probe sequence serves all pending models.
+	boundRounds := 1
 	for round := 0; ; round++ {
 		if round >= opts.MaxBoundRounds {
-			return nil, fmt.Errorf("core: loop bounds did not converge after %d rounds", round)
+			return fmt.Errorf("core: loop bounds did not converge after %d rounds", round)
 		}
 		probeStart := time.Now()
-		grew, err := probeBounds(unrolled, info, probeModel(opts.Model), bounds, opts, deadline)
-		res.Stats.ProbeTime += time.Since(probeStart)
+		grew, err := probeBounds(p.unrolled, p.info, probeModel(pending[0]), p.bounds, opts, deadline)
+		p.results[models[0]].Stats.ProbeTime += time.Since(probeStart)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !grew {
 			break
 		}
-		grewAny = true
-		res.Stats.BoundRounds = round + 2
-		unrolled, err = opts.unrollHarness(built, bounds)
-		if err != nil {
-			return nil, err
+		boundRounds = round + 2
+		if err := p.unroll(); err != nil {
+			return err
 		}
-		info = analysisFor(unrolled, opts)
 	}
-	if !grewAny {
-		return res, nil // initial bounds were already sufficient
+	if boundRounds > 1 {
+		if pending, err = p.round(pending, boundRounds); err != nil {
+			return err
+		}
 	}
-	if _, err := runCheck(res, impl, test, built, unrolled, info, bounds, opts, deadline); err != nil {
-		return nil, err
+	// Whatever is still undecided passed at the converged bounds.
+	for _, m := range pending {
+		r := p.results[m]
+		r.Pass = true
+		r.Verdict = VerdictPass
+		out[m] = r
 	}
-	return res, nil
+	return nil
 }
 
-// runCheck performs mining and the inclusion check at the current
-// bounds, filling res. It reports done=true when a counterexample (or
-// sequential bug) was found, in which case bounds need not grow.
-func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
-	built *harness.Built, unrolled *harness.Unrolled, info *ranges.Info,
-	bounds map[string]int, opts Options, deadline time.Time) (bool, error) {
-
-	res.Stats.Instrs = unrolled.Instrs
-	res.Stats.Loads = unrolled.Loads
-	res.Stats.Stores = unrolled.Stores
-
-	// Multi-backend routing: run the reads-from engine when the
-	// backend selection and cost model pick it. Under auto, an rf
-	// budget failure falls back to SAT within this same attempt (no
-	// ladder hop); under a forced rf backend the error propagates so
-	// the ladder's SAT rungs take over.
-	dec := routeRF(opts, unrolled)
-	res.Stats.RouterDecision = dec.reason
-	if opts.Backend == BackendRF && !dec.useRF {
-		return false, dec.err
+// unroll unrolls the harness at the current bounds and analyzes the
+// ranges of the result.
+func (p *pipeline) unroll() (err error) {
+	if p.unrolled, err = p.opts.unrollHarness(p.built, p.bounds); err != nil {
+		return err
 	}
-	if dec.useRF {
-		done, rfErr := runCheckRF(res, built, unrolled, dec.prog, opts)
-		if rfErr == nil {
-			res.Stats.Backend = "rf"
-			return done, nil
-		}
-		if opts.Backend == BackendRF || !rfFallbackable(rfErr) {
-			return false, rfErr
-		}
-		res.Stats.RouterDecision = "sat (rf fell back: " + rfErr.Error() + ")"
-	}
-	res.Stats.Backend = "sat"
+	p.info = analysisFor(p.unrolled, p.opts)
+	return nil
+}
 
-	// Specification: mined once per (impl, test, bounds, source) via
-	// mineSpec (shared with the sweep scheduler).
+// fail decides model m with counterexample t; earlyExit marks a trace
+// replayed from a stronger model rather than solved.
+func (p *pipeline) fail(m memmodel.Model, t *trace.Trace, earlyExit bool) {
+	r := p.results[m]
+	r.Pass = false
+	r.Verdict = VerdictFail
+	r.Cex = t
+	if earlyExit {
+		r.Stats.SweepEarlyExit = 1
+	}
+	p.out[m] = r
+}
+
+// round checks the pending models at the current bounds: it mines the
+// specification once, encodes one formula for all of them, and runs
+// the inclusion check's two phases model by model, strongest first.
+// Models that fail are decided; the models that pass at these bounds
+// are returned, for the caller to decide whether bounds must grow.
+func (p *pipeline) round(pending []memmodel.Model, boundRounds int) ([]memmodel.Model, error) {
+	sweep := len(p.models) > 1
+	leader := p.results[pending[0]]
+	for i, m := range pending {
+		st := &p.results[m].Stats
+		st.Instrs, st.Loads, st.Stores = p.unrolled.Instrs, p.unrolled.Loads, p.unrolled.Stores
+		st.BoundRounds = boundRounds
+		st.EncodesReused = min(i, 1) // every model after the leader reuses its encoding
+		if sweep {
+			st.RouterDecision = "sat (model sweep)"
+			st.SweepGroups, st.SweepModels = 1, len(p.models)
+		}
+	}
+
+	if sweep {
+		// routeRF inspects the backend selection and the unrolled
+		// program, never the model, so one decision serves the group.
+		if routeRF(p.opts, p.unrolled).useRF {
+			return nil, errSweepFallback
+		}
+	} else {
+		// Under auto, an rf budget failure falls back to SAT within
+		// this same attempt (no ladder hop); under a forced rf backend
+		// the error propagates so the ladder's SAT rungs take over.
+		dec := routeRF(p.opts, p.unrolled)
+		leader.Stats.RouterDecision = dec.reason
+		if p.opts.Backend == BackendRF && !dec.useRF {
+			return nil, dec.err
+		}
+		if dec.useRF {
+			cex, err := runCheckRF(leader, p.built, p.unrolled, dec.prog, p.opts)
+			if err == nil {
+				leader.Stats.Backend = "rf"
+				if cex != nil {
+					p.fail(pending[0], cex, false)
+					return nil, nil
+				}
+				return pending, nil
+			}
+			if p.opts.Backend == BackendRF || !rfFallbackable(err) {
+				return nil, err
+			}
+			leader.Stats.RouterDecision = "sat (rf fell back: " + err.Error() + ")"
+		}
+	}
+	for _, m := range pending {
+		p.results[m].Stats.Backend = "sat"
+	}
+
+	// Specification: mined once for all models (the observation set is
+	// model-independent, §3.2).
 	mineStart := time.Now()
-	theSpec, seqTrace, err := mineSpec(impl, test, built, unrolled, info, bounds,
-		opts, deadline, res)
+	set, seqTrace, err := mineSpec(p.impl, p.test, p.built, p.unrolled, p.info, p.bounds,
+		p.opts, p.deadline, leader)
+	leader.Stats.MineTime += time.Since(mineStart)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if seqTrace != nil {
-		res.SeqBug = true
-		res.Pass = false
-		res.Cex = seqTrace
-		res.Stats.MineTime += time.Since(mineStart)
-		if err := validateCex(res.Cex, built, unrolled, opts); err != nil {
-			return false, err
+		// A sequential bug is model-independent: every pending model
+		// fails with the same serial trace, validated once.
+		if err := validateCex(seqTrace, p.built, p.unrolled, p.opts); err != nil {
+			return nil, err
 		}
-		return true, nil
+		for _, m := range pending {
+			p.results[m].SeqBug = true
+			p.fail(m, seqTrace, false)
+		}
+		return nil, nil
 	}
-	res.Spec = theSpec
-	res.Stats.ObsSetSize = theSpec.Len()
-	res.Stats.MineTime += time.Since(mineStart)
+	for _, m := range pending {
+		r := p.results[m]
+		r.Spec = set
+		r.Stats.ObsSetSize = set.Len()
+		// A model that reuses the leader's encoding also shares all of
+		// the spec's exclusion clauses instead of re-encoding them.
+		r.Stats.SeededObs = r.Stats.EncodesReused * set.Len()
+	}
 
-	// Inclusion check.
 	encodeStart := time.Now()
-	enc := encode.NewWithConfig(opts.Model, info, opts.encodeConfig())
-	applyLimits(enc, opts, deadline)
-	if err := enc.Encode(unrolled.Threads); err != nil {
-		return false, err
+	var enc *encode.Encoder
+	if sweep {
+		enc, err = encode.NewSweepWithConfig(pending, p.info, p.opts.encodeConfig())
+	} else {
+		enc = encode.NewWithConfig(pending[0], p.info, p.opts.encodeConfig())
+	}
+	if err != nil {
+		return nil, err
+	}
+	applyLimits(enc, p.opts, p.deadline)
+	if err := enc.Encode(p.unrolled.Threads); err != nil {
+		return nil, err
 	}
 	enc.AssertNoOverflow()
-	res.Stats.EncodeTime += time.Since(encodeStart)
+	leader.Stats.EncodeTime += time.Since(encodeStart)
 
 	refuteStart := time.Now()
-	strat := opts.strategy()
-	if len(opts.Assume) > 0 {
-		strat.Assume = assumeLits(enc, opts.Assume)
-		res.Stats.AssumedLits = len(strat.Assume)
-		res.Stats.AssumeDropped = len(opts.Assume) - len(strat.Assume)
+	var assume []sat.Lit
+	if len(p.opts.Assume) > 0 {
+		assume = assumeLits(enc, p.opts.Assume)
+		leader.Stats.AssumedLits = len(assume)
+		leader.Stats.AssumeDropped = len(p.opts.Assume) - len(assume)
 	}
-	cex, err := spec.CheckInclusionWith(enc, built.Entries, theSpec, strat)
-	res.Stats.RefuteTime += time.Since(refuteStart)
+	ic, err := spec.NewInclusionCheck(enc, p.built.Entries)
+	leader.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
+
+	// Phase 1 for every pending model before any exclusion clause
+	// exists (see spec.SweepCheck), then phase 2 for the models it left
+	// open.
+	open, err := p.solveEach(enc, pending, func(m memmodel.Model) (*spec.Counterexample, error) {
+		return ic.ErrorCheck(m, assume...)
+	})
+	if err == nil && len(open) > 0 {
+		beginStart := time.Now()
+		err = ic.BeginInclusion(set)
+		leader.Stats.RefuteTime += time.Since(beginStart)
+		if err == nil {
+			open, err = p.solveEach(enc, open, func(m memmodel.Model) (*spec.Counterexample, error) {
+				return ic.Inclusion(m, assume...)
+			})
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Solver and formula statistics of the round's encoding land on the
+	// leader; the selector instrumentation sizes land on every model.
 	st := enc.S.Stats()
-	res.Stats.CNFVars = st.Vars
-	res.Stats.CNFClauses = st.Clauses
-	res.Stats.SolverStats = st
-	res.Stats.Gates = enc.B.NumGates()
-	res.Stats.PreCNFVars = st.PreVars
-	res.Stats.PreCNFClauses = st.PreClauses
-	res.Stats.VarsEliminated = st.VarsEliminated
-	res.Stats.ClausesSubsumed = st.ClausesSubsumed
-	res.Stats.ClausesStrengthened = st.ClausesStrengthened
-	res.Stats.PreprocessTime = st.PreprocessTime
-	res.Stats.VivifiedClauses += st.VivifiedClauses
-	res.Stats.VivifiedLits += st.VivifiedLits
-	res.Stats.SubsumedLearnts += st.SubsumedLearnts
-	res.Stats.ChronoBacktracks += st.ChronoBacktracks
-	res.Stats.TierCore = st.TierCore
-	res.Stats.TierMid = st.TierMid
-	res.Stats.TierLocal = st.TierLocal
-	res.Stats.OrderVarsFixed = enc.OrderVarsFixed
-	res.Stats.OrderVarsMerged = enc.OrderVarsMerged
+	ls := &leader.Stats
+	ls.CNFVars = st.Vars
+	ls.CNFClauses = st.Clauses
+	ls.SolverStats = st
+	ls.Gates = enc.B.NumGates()
+	ls.PreCNFVars = st.PreVars
+	ls.PreCNFClauses = st.PreClauses
+	ls.VarsEliminated = st.VarsEliminated
+	ls.ClausesSubsumed = st.ClausesSubsumed
+	ls.ClausesStrengthened = st.ClausesStrengthened
+	ls.PreprocessTime = st.PreprocessTime
+	ls.VivifiedClauses += st.VivifiedClauses
+	ls.VivifiedLits += st.VivifiedLits
+	ls.SubsumedLearnts += st.SubsumedLearnts
+	ls.ChronoBacktracks += st.ChronoBacktracks
+	ls.TierCore = st.TierCore
+	ls.TierMid = st.TierMid
+	ls.TierLocal = st.TierLocal
+	ls.OrderVarsFixed = enc.OrderVarsFixed
+	ls.OrderVarsMerged = enc.OrderVarsMerged
 	if st.PreClauses == 0 {
 		// Preprocessing did not run; pre-minimization size is the
 		// final size.
-		res.Stats.PreCNFVars = st.Vars
-		res.Stats.PreCNFClauses = st.Clauses
+		ls.PreCNFVars = st.Vars
+		ls.PreCNFClauses = st.Clauses
 	}
+	if sweep {
+		for _, m := range pending {
+			p.results[m].Stats.SelectorVars = len(pending)
+			p.results[m].Stats.SelectorUnits = enc.SelectorUnits
+		}
+	}
+	return open, nil
+}
 
-	if cex == nil {
-		res.Pass = true
-		return false, nil // passed at these bounds; caller probes
+// solveEach runs one inclusion phase for models, strongest first, and
+// returns the models it left undecided. A counterexample decides its
+// model, and a stronger model's counterexample that replays under a
+// weaker model's axioms decides the weaker model without a solve.
+func (p *pipeline) solveEach(enc *encode.Encoder, models []memmodel.Model,
+	solve func(memmodel.Model) (*spec.Counterexample, error)) ([]memmodel.Model, error) {
+
+	var traces []*trace.Trace
+	var open []memmodel.Model
+	for _, m := range models {
+		if t := replayUnder(m, traces, p.built, p.unrolled); t != nil {
+			p.fail(m, t, true)
+			continue
+		}
+		solveStart := time.Now()
+		cex, err := solve(m)
+		p.results[m].Stats.RefuteTime += time.Since(solveStart)
+		if err != nil {
+			return nil, err
+		}
+		if cex == nil {
+			open = append(open, m)
+			continue
+		}
+		t := trace.Build(enc, p.built, p.unrolled, cex)
+		t.Model = m
+		if err := validateCex(t, p.built, p.unrolled, p.opts); err != nil {
+			return nil, err
+		}
+		traces = append(traces, t)
+		p.fail(m, t, false)
 	}
-	res.Pass = false
-	res.Cex = trace.Build(enc, built, unrolled, cex)
-	if err := validateCex(res.Cex, built, unrolled, opts); err != nil {
-		return false, err
-	}
-	return true, nil
+	return open, nil
 }
 
 // mineSpec obtains the observation set for a check at the given
@@ -716,7 +829,7 @@ func assumeLits(e *encode.Encoder, assume []int) []sat.Lit {
 func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolled,
 	opts Options) error {
 
-	if opts.ValidateTraces == ValidateOff {
+	if opts.NoValidate {
 		return nil
 	}
 	if err := validate.Check(t, unrolled.Threads, built.Unit.Prog); err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"checkfence/internal/faultinject"
 	"checkfence/internal/memmodel"
 )
 
@@ -165,5 +167,98 @@ func TestSweepDuplicateModels(t *testing.T) {
 	}
 	if a.Pass != b.Pass || !a.Spec.Equal(b.Spec) {
 		t.Error("duplicate jobs diverge")
+	}
+}
+
+// TestSweepLeaderStatsAcrossRounds: a sweep leader accumulates its
+// counters over every bound round, like an independent check does.
+// msn/T0 grows its bounds, so mining runs at the initial and at the
+// converged bounds: both the independent SC check and the leader of the
+// four-model group (SC) must report both cache misses and the same
+// number of bound rounds.
+func TestSweepLeaderStatsAcrossRounds(t *testing.T) {
+	indep, err := Check("msn", "T0", Options{
+		Model: memmodel.SequentialConsistency, SpecCache: NewSpecCache(""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indep.Stats.BoundRounds < 2 {
+		t.Fatalf("msn/T0 converged in %d bound rounds; the test needs growth", indep.Stats.BoundRounds)
+	}
+	results := RunSuite(fourModelJobs("msn", "T0", Options{}), SuiteOptions{Parallelism: 1})
+	requireAllRan(t, results)
+	leader := results[0].Res.Stats
+	if leader.SweepGroups != 1 {
+		t.Fatalf("SC job did not lead a sweep group (SweepGroups=%d)", leader.SweepGroups)
+	}
+	if leader.SpecCacheMisses != indep.Stats.SpecCacheMisses {
+		t.Errorf("leader SpecCacheMisses=%d, independent SC check %d",
+			leader.SpecCacheMisses, indep.Stats.SpecCacheMisses)
+	}
+	if leader.BoundRounds != indep.Stats.BoundRounds {
+		t.Errorf("leader BoundRounds=%d, independent SC check %d",
+			leader.BoundRounds, indep.Stats.BoundRounds)
+	}
+}
+
+// TestSweepFingerprintCoversOptions: every Options field except Model,
+// Sweep and the group's front cache takes part in the grouping key, so
+// a field added later cannot silently group jobs that differ in it.
+func TestSweepFingerprintCoversOptions(t *testing.T) {
+	base := sweepFingerprint(Options{})
+	ignored := map[string]bool{"Model": true, "Sweep": true, "front": true}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var o Options
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		v = reflect.NewAt(v.Type(), v.Addr().UnsafePointer()).Elem() // settable even if unexported
+		setNonZero(t, f.Name, v)
+		if got := sweepFingerprint(o) != base; got == ignored[f.Name] {
+			t.Errorf("field %s: key changed=%v, want %v", f.Name, got, !ignored[f.Name])
+		}
+	}
+}
+
+// setNonZero stores a non-zero value of v's type in v.
+func setNonZero(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 1, 1)
+		setNonZero(t, name, s.Index(0))
+		v.Set(s)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		key, val := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		setNonZero(t, name, key)
+		setNonZero(t, name, val)
+		m.SetMapIndex(key, val)
+		v.Set(m)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Chan:
+		v.Set(reflect.MakeChan(reflect.ChanOf(reflect.BothDir, v.Type().Elem()), 0).Convert(v.Type()))
+	case reflect.Interface:
+		if v.Type() != reflect.TypeOf((*faultinject.Faults)(nil)).Elem() {
+			t.Fatalf("field %s: no non-zero value for interface %v", name, v.Type())
+		}
+		v.Set(reflect.ValueOf(&faultinject.Always{}))
+	case reflect.Struct:
+		if v.NumField() == 0 {
+			t.Fatalf("field %s: empty struct %v has no non-zero value", name, v.Type())
+		}
+		setNonZero(t, name, v.Field(0))
+	default:
+		t.Fatalf("field %s: unhandled kind %v", name, v.Kind())
 	}
 }

@@ -831,11 +831,15 @@ func (e *Encoder) assertSweepUnits() {
 // sweep encoder: m's selector positive, every other selector negative.
 // The negative literals matter — leaving another model's selector free
 // would let the solver enable its guarded units and over-constrain the
-// query. Panics when m was not in the sweep (a driver bug, not an
-// input condition).
+// query. A single-model encoder has no selectors: its lits for e.Model
+// are empty. Panics when m is not one of the encoder's models (a
+// driver bug, not an input condition).
 func (e *Encoder) SelectorLits(m memmodel.Model) []sat.Lit {
 	if len(e.sweep) == 0 {
-		panic("encode: SelectorLits on a single-model encoder")
+		if m != e.Model {
+			panic(fmt.Sprintf("encode: SelectorLits(%s) on a %s encoder", m, e.Model))
+		}
+		return nil
 	}
 	lits := make([]sat.Lit, len(e.sweep))
 	found := false

@@ -221,6 +221,7 @@ func (c *Check) Options() (core.Options, error) {
 		NoPreprocess:         c.NoPreprocess,
 		NoInprocess:          c.NoInprocess,
 		NoOrderReduce:        c.NoOrderReduce,
+		NoValidate:           c.NoValidate,
 		Deadline:             time.Duration(c.Timeout),
 		ConflictBudget:       c.ConflictBudget,
 		MemBudgetMB:          c.MemBudgetMB,
@@ -231,9 +232,6 @@ func (c *Check) Options() (core.Options, error) {
 		for k, v := range c.Bounds {
 			opts.InitialBounds[k] = v
 		}
-	}
-	if c.NoValidate {
-		opts.ValidateTraces = core.ValidateOff
 	}
 	if len(c.Assume) > 0 {
 		opts.Assume = append([]int(nil), c.Assume...)
@@ -313,6 +311,7 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		NoPreprocess:      o.NoPreprocess,
 		NoInprocess:       o.NoInprocess,
 		NoOrderReduce:     o.NoOrderReduce,
+		NoValidate:        o.NoValidate,
 		Timeout:           Duration(o.Deadline),
 		ConflictBudget:    o.ConflictBudget,
 		MemBudgetMB:       o.MemBudgetMB,
@@ -325,9 +324,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 	}
 	if o.Sweep == core.SweepOff {
 		c.Sweep = "off"
-	}
-	if o.ValidateTraces == core.ValidateOff {
-		c.NoValidate = true
 	}
 	if len(o.InitialBounds) > 0 {
 		c.Bounds = make(map[string]int, len(o.InitialBounds))

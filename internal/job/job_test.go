@@ -102,8 +102,8 @@ func TestOptionsMapping(t *testing.T) {
 	if opts.Sweep != core.SweepOff {
 		t.Errorf("sweep = %v", opts.Sweep)
 	}
-	if opts.ValidateTraces != core.ValidateOff {
-		t.Errorf("validate = %v", opts.ValidateTraces)
+	if !opts.NoValidate {
+		t.Errorf("NoValidate = %v", opts.NoValidate)
 	}
 	if opts.Deadline != 2*time.Second {
 		t.Errorf("deadline = %v", opts.Deadline)
@@ -122,7 +122,7 @@ func TestFromOptionsInverts(t *testing.T) {
 		Backend:           core.BackendRF,
 		SpecSource:        core.SpecRef,
 		Sweep:             core.SweepOff,
-		ValidateTraces:    core.ValidateOff,
+		NoValidate:        true,
 		MaxMineIterations: 16,
 		Deadline:          time.Minute,
 		InitialBounds:     map[string]int{"L0": 4},
@@ -134,7 +134,7 @@ func TestFromOptionsInverts(t *testing.T) {
 	}
 	if got.Model != orig.Model || got.Backend != orig.Backend ||
 		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
-		got.ValidateTraces != orig.ValidateTraces ||
+		got.NoValidate != orig.NoValidate ||
 		got.MaxMineIterations != orig.MaxMineIterations ||
 		got.Deadline != orig.Deadline {
 		t.Errorf("FromOptions . Options != identity:\norig %+v\ngot  %+v", orig, got)

@@ -250,56 +250,19 @@ func blockingClause(s *sat.Solver, lits []sat.Lit) []sat.Lit {
 }
 
 // CheckInclusionWith is CheckInclusion under a strategy; Strategy.Assume
-// restricts both phases to one cube of a cross-process fan-out. On Sat
-// the encoder's solver is positioned at the counterexample model.
+// restricts both phases to one cube of a cross-process fan-out. It runs
+// the SweepCheck protocol for the encoder's one model. On Sat the
+// encoder's solver is positioned at the counterexample model.
 func CheckInclusionWith(e *encode.Encoder, entries []Entry, set *Set, strat Strategy) (*Counterexample, error) {
-	svs, err := obsVals(e, entries)
+	c, err := NewInclusionCheck(e, entries)
 	if err != nil {
 		return nil, err
 	}
-	// Materialize the error literal and the observation bits (phase 2's
-	// exclusion clauses reference them in both polarities), then
-	// preprocess with those frozen.
-	errLit := e.B.Lit(e.ErrorNode())
-	roots := []sat.Lit{errLit}
-	for _, b := range obsBits(e, svs) {
-		roots = append(roots, e.B.Lit(b))
+	if cex, err := c.ErrorCheck(e.Model, strat.Assume...); cex != nil || err != nil {
+		return cex, err
 	}
-	e.PreprocessCNF(roots...)
-
-	// Phase 1: any execution with a runtime error is a counterexample.
-	// A cube restriction (Strategy.Assume) applies here too: the cubes
-	// of a fan-out are jointly exhaustive, so an erroneous execution
-	// exists iff some cube contains one.
-	switch st, cause := solve(e, append([]sat.Lit{errLit}, strat.Assume...)...); st {
-	case sat.Sat:
-		obs := decodeObs(e, svs)
-		msg := ""
-		for _, ec := range e.Errors {
-			if e.B.Eval(ec.Cond) {
-				msg = ec.Msg
-				break
-			}
-		}
-		return &Counterexample{Obs: obs, IsErr: true, Err: msg}, nil
-	case sat.Unsat:
-	default:
-		return nil, unknownErr("error check", st, cause)
+	if err := c.BeginInclusion(set); err != nil {
+		return nil, err
 	}
-
-	// Phase 2: exclude the specification's observations and solve.
-	e.S.AddClause(errLit.Not())
-	for _, o := range set.All() {
-		if err := assertNotObservation(e, svs, o); err != nil {
-			return nil, err
-		}
-	}
-	switch st, cause := solve(e, strat.Assume...); st {
-	case sat.Unsat:
-		return nil, nil
-	case sat.Sat:
-		return &Counterexample{Obs: decodeObs(e, svs)}, nil
-	default:
-		return nil, unknownErr("inclusion check", st, cause)
-	}
+	return c.Inclusion(e.Model, strat.Assume...)
 }

@@ -1,18 +1,18 @@
 package spec
 
-// This file drives the inclusion check of §3.2 across a model sweep:
-// one selector-guarded encoding (encode.NewSweepWithConfig) solved
-// once per model under assumption literals, so the circuit, the CNF
-// translation, the preprocessing pass, and every clause the solver
-// learns are shared by the whole sweep instead of rebuilt per model.
+// This file drives the inclusion check of §3.2 for one or several
+// memory models. A plain encoder (encode.NewWithConfig) checks its one
+// model; a sweep encoder (encode.NewSweepWithConfig) is one
+// selector-guarded encoding solved once per model under assumption
+// literals, so the circuit, the CNF translation, the preprocessing
+// pass, and every clause the solver learns are shared by the whole
+// sweep instead of rebuilt per model.
 //
-// The phase structure differs from the single-model CheckInclusionWith
-// in one load-bearing way: ALL phase-1 (error) solves must complete
-// before ANY phase-2 exclusion clause is added. Phase 1 asks "is an
-// erroneous execution reachable" — an erroneous execution may well
-// produce an in-spec observation, so the exclusion clauses would
-// wrongly mask it. CheckInclusionWith gets the ordering for free by
-// interleaving; SweepCheck makes it an explicit two-stage protocol:
+// The phase structure is load-bearing: ALL phase-1 (error) solves must
+// complete before ANY phase-2 exclusion clause is added. Phase 1 asks
+// "is an erroneous execution reachable" — an erroneous execution may
+// well produce an in-spec observation, so the exclusion clauses would
+// wrongly mask it. SweepCheck makes it an explicit two-stage protocol:
 // ErrorCheck per model, then one BeginInclusion, then Inclusion per
 // model.
 
@@ -24,12 +24,13 @@ import (
 	"checkfence/internal/sat"
 )
 
-// SweepCheck runs the per-model phases of an inclusion check over a
-// sweep encoder. The protocol is: NewSweepCheck, ErrorCheck for every
-// model of interest, BeginInclusion once, Inclusion for every model
-// still undecided. Learned clauses accumulate in the shared solver
-// across all calls — everything learned refuting one model's query is
-// implied by the common formula and so stays sound for the next.
+// SweepCheck runs the per-model phases of an inclusion check. The
+// protocol is: NewInclusionCheck (or NewSweepCheck), ErrorCheck for
+// every model of interest, BeginInclusion once, Inclusion for every
+// model still undecided. Learned clauses accumulate in the shared
+// solver across all calls — everything learned refuting one model's
+// query is implied by the common formula and so stays sound for the
+// next.
 type SweepCheck struct {
 	e      *encode.Encoder
 	svs    []encode.SymVal
@@ -37,15 +38,13 @@ type SweepCheck struct {
 	began  bool
 }
 
-// NewSweepCheck materializes the error literal and observation bits of
-// a sweep encoder and preprocesses its CNF (selector variables are
-// frozen by the encoder). The encoder must come from
-// encode.NewSweepWithConfig with overflow excluded, exactly like a
-// CheckInclusionWith encoder.
-func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
-	if len(e.SweepModels()) == 0 {
-		return nil, fmt.Errorf("spec: NewSweepCheck on a single-model encoder")
-	}
+// NewInclusionCheck materializes the error literal and observation
+// bits of an encoder and preprocesses its CNF with them frozen (phase
+// 2's exclusion clauses reference them in both polarities; selector
+// and memory-order variables are frozen by the encoder). The encoder
+// must have overflow excluded; it may be a plain encoder, whose one
+// model is e.Model, or a sweep encoder.
+func NewInclusionCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
 	svs, err := obsVals(e, entries)
 	if err != nil {
 		return nil, err
@@ -59,21 +58,29 @@ func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
 	return &SweepCheck{e: e, svs: svs, errLit: errLit}, nil
 }
 
-// Encoder returns the underlying sweep encoder (for trace extraction
-// after a Sat verdict).
-func (c *SweepCheck) Encoder() *encode.Encoder { return c.e }
+// NewSweepCheck is NewInclusionCheck restricted to sweep encoders
+// (encode.NewSweepWithConfig).
+func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
+	if len(e.SweepModels()) == 0 {
+		return nil, fmt.Errorf("spec: NewSweepCheck on a single-model encoder")
+	}
+	return NewInclusionCheck(e, entries)
+}
 
-// ErrorCheck runs phase 1 for one swept model: is an execution
-// reaching a runtime error possible under m's axioms? A non-nil
+// ErrorCheck runs phase 1 for model m: is an execution reaching a
+// runtime error possible under m's axioms? extra restricts the query
+// to the executions satisfying those literals — one cube of a
+// cross-process fan-out; the cubes are jointly exhaustive, so an
+// erroneous execution exists iff some cube contains one. A non-nil
 // counterexample (IsErr=true) leaves the solver positioned at its
 // model for trace extraction. Panics if called after BeginInclusion —
 // the error literal is permanently false by then, so the answer would
 // be a silent, unsound Unsat.
-func (c *SweepCheck) ErrorCheck(m memmodel.Model) (*Counterexample, error) {
+func (c *SweepCheck) ErrorCheck(m memmodel.Model, extra ...sat.Lit) (*Counterexample, error) {
 	if c.began {
 		panic("spec: SweepCheck.ErrorCheck after BeginInclusion")
 	}
-	assum := append(c.e.SelectorLits(m), c.errLit)
+	assum := append(append(c.e.SelectorLits(m), c.errLit), extra...)
 	switch st, cause := solve(c.e, assum...); st {
 	case sat.Sat:
 		obs := decodeObs(c.e, c.svs)
@@ -112,15 +119,16 @@ func (c *SweepCheck) BeginInclusion(set *Set) error {
 	return nil
 }
 
-// Inclusion runs phase 2 for one swept model: is an error-free
-// execution with an out-of-spec observation possible under m's axioms?
-// A nil counterexample means model m passes the inclusion check. On
-// Sat the solver is positioned at the counterexample model.
-func (c *SweepCheck) Inclusion(m memmodel.Model) (*Counterexample, error) {
+// Inclusion runs phase 2 for model m, restricted by extra like
+// ErrorCheck: is an error-free execution with an out-of-spec
+// observation possible under m's axioms? A nil counterexample means
+// model m passes the inclusion check. On Sat the solver is positioned
+// at the counterexample model.
+func (c *SweepCheck) Inclusion(m memmodel.Model, extra ...sat.Lit) (*Counterexample, error) {
 	if !c.began {
 		panic("spec: SweepCheck.Inclusion before BeginInclusion")
 	}
-	switch st, cause := solve(c.e, c.e.SelectorLits(m)...); st {
+	switch st, cause := solve(c.e, append(c.e.SelectorLits(m), extra...)...); st {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Sat:
